@@ -175,10 +175,11 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	e := float64(b.cfg.Format.Bytes())
 	start := len(b.eng.Tasks())
 
-	fwdOp := exec.KernelOp(kernels.Fuse("fwd.layer", m.ForwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits)...))
-	bwdOp := exec.KernelOp(kernels.Fuse("bwd.layer", m.BackwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)...))
-	headFOp := exec.KernelOp(kernels.Fuse("fwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, true)...))
-	headBOp := exec.KernelOp(kernels.Fuse("bwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)...))
+	g := b.cl.GPU()
+	fwdOp := exec.KernelOp(kernels.Fuse("fwd.layer", m.ForwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits)...), g)
+	bwdOp := exec.KernelOp(kernels.Fuse("bwd.layer", m.BackwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)...), g)
+	headFOp := exec.KernelOp(kernels.Fuse("fwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, true)...), g)
+	headBOp := exec.KernelOp(kernels.Fuse("bwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)...), g)
 
 	barrier := func(ts []*sim.Task) {
 		for _, t := range ts {
@@ -238,7 +239,7 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	}
 
 	// Optimizer over the full replica.
-	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), exec.KernelOp(m.OptimizerKernel(m.TotalParams())))
+	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), exec.KernelOp(m.OptimizerKernel(m.TotalParams()), g))
 	for d, t := range opt {
 		t.After(prev[d])
 		t.After(reduces[len(reduces)-1])

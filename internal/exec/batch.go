@@ -3,6 +3,7 @@ package exec
 import (
 	"strconv"
 
+	"overlapsim/internal/hw"
 	"overlapsim/internal/kernels"
 	"overlapsim/internal/sim"
 )
@@ -17,9 +18,15 @@ type Op struct {
 	Payload any
 }
 
-// KernelOp boxes a fused kernel descriptor into an Op — the one
-// construction path every strategy shares.
-func KernelOp(d kernels.Desc) Op { return Op{Work: kernels.Work(d), Payload: d} }
+// KernelOp prepares a fused kernel descriptor against the cluster's GPU
+// (kernels.Prepare) and boxes it into an Op — the one construction path
+// every strategy shares. Every task the Op fans out to shares the one
+// prepared cost, so the device model's per-epoch work neither recomputes
+// nor allocates it.
+func KernelOp(d kernels.Desc, g *hw.GPUSpec) Op {
+	d = kernels.Prepare(d, g)
+	return Op{Work: kernels.Work(d), Payload: d}
+}
 
 // Batch is the batched task-construction API the strategy builders go
 // through: it pre-sizes the engine's slab allocators for the plan's

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"runtime"
 
 	"overlapsim/internal/collective"
 	"overlapsim/internal/kernels"
@@ -219,32 +218,4 @@ func aliasVector(n int, classes []sim.Class) []int {
 		}
 	}
 	return alias
-}
-
-// autoPoolMinTasks is the live-task count below which Parallel=0 plans
-// stay serial: pooled epoch passes only pay off on wide running sets.
-const autoPoolMinTasks = 8192
-
-// autoPoolMaxWorkers caps automatic pool sizing so concurrent plan runs
-// (sweep workers) do not oversubscribe the machine.
-const autoPoolMaxWorkers = 8
-
-// newPool sizes the run's worker pool from the Parallel knob and the
-// live (non-ghost) task count. May return nil (serial execution).
-func (p *Plan) newPool(live int) *sim.Pool {
-	switch {
-	case p.Parallel == 1:
-		return nil
-	case p.Parallel > 1:
-		return sim.NewPool(p.Parallel)
-	default:
-		if live < autoPoolMinTasks {
-			return nil
-		}
-		w := runtime.GOMAXPROCS(0)
-		if w > autoPoolMaxWorkers {
-			w = autoPoolMaxWorkers
-		}
-		return sim.NewPool(w)
-	}
 }

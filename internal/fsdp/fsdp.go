@@ -211,9 +211,10 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	bwdDesc := kernels.Fuse("bwd.layer", m.BackwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)...)
 	headFwd := kernels.Fuse("fwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, true)...)
 	headBwd := kernels.Fuse("bwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)...)
-	fwdOp, bwdOp := exec.KernelOp(fwdDesc), exec.KernelOp(bwdDesc)
-	embedOp, logitsOp := exec.KernelOp(headFwdEmbedOnly(headFwd)), exec.KernelOp(headFwdLogitsOnly(headFwd))
-	headBwdOp := exec.KernelOp(headBwd)
+	g := b.cl.GPU()
+	fwdOp, bwdOp := exec.KernelOp(fwdDesc, g), exec.KernelOp(bwdDesc, g)
+	embedOp, logitsOp := exec.KernelOp(headFwdEmbedOnly(headFwd), g), exec.KernelOp(headFwdLogitsOnly(headFwd), g)
+	headBwdOp := exec.KernelOp(headBwd, g)
 
 	iterBarrier := func(t *sim.Task) {
 		for _, p := range b.prevIterEnd {
@@ -312,7 +313,7 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 
 	// Optimizer step over the local shard.
 	shard := m.TotalParams() / float64(b.n)
-	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), exec.KernelOp(m.OptimizerKernel(shard)))
+	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), exec.KernelOp(m.OptimizerKernel(shard), g))
 	for d, t := range opt {
 		t.After(lastRS, rsEmbed, prevStepB[d])
 	}

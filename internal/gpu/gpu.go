@@ -4,18 +4,30 @@
 // contention mechanisms the paper identifies — SM stealing by collective
 // kernels, HBM bandwidth sharing, and power-cap-induced DVFS throttling —
 // and observes every simulated segment to drive the power telemetry.
+//
+// The model is incremental. A device's solve — contention pressure, the
+// rate/DVFS fixed point, its compute tasks' rates — is a pure function
+// of its running compute and communication tasks, the gate bit of each
+// communication, and the frequency the solve starts from. A device is
+// re-solved only when one of those changed: its task sets differ from
+// its last solve's, a gate flipped, or the last solve did not end at a
+// bitwise fixed point (output frequency == input frequency). Otherwise
+// its frequency and its tasks' rates are already exactly what a re-solve
+// would write, and its segment power is the value priced right after
+// that solve. Jittered runs, whose ranks de-synchronize so that a typical
+// epoch changes one device, pay for one device instead of all of them.
 package gpu
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"overlapsim/internal/collective"
 	"overlapsim/internal/hw"
 	"overlapsim/internal/kernels"
 	"overlapsim/internal/power"
-	"overlapsim/internal/precision"
 	"overlapsim/internal/sim"
 	"overlapsim/internal/topo"
 )
@@ -48,6 +60,16 @@ type Config struct {
 // Cluster is a system of identical GPUs — one node or several behind a
 // hierarchical fabric. It implements sim.Platform (rate assignment) and
 // sim.Observer (power integration).
+//
+// Every epoch Rates partitions the running set by device and re-solves
+// only the devices whose solve inputs changed (see the package comment):
+// a device is skipped when its compute and communication task lists are
+// the same pointers in the same order as at its last solve, every
+// communication's gate bit is unchanged, and that solve ended at a
+// bitwise fixed point. Segment reuses a skipped device's watts once they
+// have been priced for the solved state. Both shortcuts reproduce the
+// full recompute bit for bit; FuzzClusterRates checks them against a
+// reference copy of it.
 type Cluster struct {
 	cfg      Config
 	n        int
@@ -59,11 +81,10 @@ type Cluster struct {
 	rng      *rand.Rand
 	jitter   map[*sim.Task]float64
 
-	// scratch, reused across epochs
-	compute [][]*sim.Task
-	comms   [][]*sim.Task
+	// dev holds each device's per-epoch partition and solve cache.
+	dev []device
 
-	// partFresh marks the scratch partition as computed by Rates for the
+	// partFresh marks the partition as computed by Rates for the
 	// current epoch; Segment observes the identical running set
 	// immediately after and skips repartitioning. partLen guards the
 	// reuse against out-of-band Segment calls.
@@ -77,14 +98,56 @@ type Cluster struct {
 	idleW    float64
 
 	// alias maps each device to its symmetry-class representative when a
-	// collapsed plan runs (see SetAliases); active lists the devices that
-	// are actually simulated. Both nil for a full simulation.
+	// collapsed plan runs (see SetAliases), nil for a full simulation;
+	// active lists the devices that are actually simulated.
 	alias  []int
 	active []int
+}
 
-	// pool, when set, splits the per-device rate and power loops across
-	// workers (deterministic configurations only).
-	pool *sim.Pool
+// device is one GPU's running-set partition for the current epoch plus
+// the record of its last solve.
+type device struct {
+	compute []*sim.Task
+	costs   []*kernels.Cost // cost of each compute task on the cluster's GPU
+	comms   []*sim.Task
+	waiting []bool // gate bit of each comm this epoch
+
+	// solvedCompute, solvedComms and solvedWaiting are the inputs of the
+	// last solve; fixed reports that it ended at a bitwise fixed point,
+	// so re-solving the same inputs would reproduce it exactly.
+	solvedCompute []*sim.Task
+	solvedComms   []*sim.Task
+	solvedWaiting []bool
+	fixed         bool
+
+	// watts is the segment power priced for the solved state; priced
+	// marks it valid. Every solve clears priced.
+	watts  float64
+	priced bool
+}
+
+// unchanged reports whether a re-solve would reproduce the last one.
+func (d *device) unchanged() bool {
+	return d.fixed &&
+		slices.Equal(d.compute, d.solvedCompute) &&
+		slices.Equal(d.comms, d.solvedComms) &&
+		slices.Equal(d.waiting, d.solvedWaiting)
+}
+
+// solved records the current partition as the last solve's inputs.
+func (d *device) solved(fixed bool) {
+	d.solvedCompute = append(d.solvedCompute[:0], d.compute...)
+	d.solvedComms = append(d.solvedComms[:0], d.comms...)
+	d.solvedWaiting = append(d.solvedWaiting[:0], d.waiting...)
+	d.fixed = fixed
+	d.priced = false
+}
+
+// reset clears the partition and forgets the last solve.
+func (d *device) reset() {
+	d.compute, d.costs = d.compute[:0], d.costs[:0]
+	d.comms, d.waiting = d.comms[:0], d.waiting[:0]
+	d.fixed, d.priced = false, false
 }
 
 var (
@@ -106,18 +169,19 @@ func New(cfg Config) (*Cluster, error) {
 		interval = power.SamplerIntervalFor(cfg.System.GPU.Vendor)
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		n:       n,
-		g:       cfg.System.GPU,
-		fabric:  topo.ForSystem(cfg.System),
-		freq:    make([]float64, n),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		jitter:  make(map[*sim.Task]float64),
-		compute: make([][]*sim.Task, n),
-		comms:   make([][]*sim.Task, n),
+		cfg:    cfg,
+		n:      n,
+		g:      cfg.System.GPU,
+		fabric: topo.ForSystem(cfg.System),
+		freq:   make([]float64, n),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		jitter: make(map[*sim.Task]float64),
+		dev:    make([]device, n),
+		active: make([]int, n),
 	}
 	for i := range c.freq {
 		c.freq[i] = 1
+		c.active[i] = i
 	}
 	for i := 0; i < n; i++ {
 		s, err := power.NewSampler(interval)
@@ -181,35 +245,32 @@ func (c *Cluster) jitterFor(t *sim.Task) float64 {
 	return j
 }
 
-// partition groups the running tasks by device into compute and comm sets.
-// Aliased (collapsed) devices are excluded: their timelines come from the
-// class representative, so accumulating per-epoch comm sets for them would
+// partition groups the running tasks by device into compute and comm
+// sets, with each compute task's cost and each comm's gate bit. Aliased
+// (collapsed) devices are excluded: their timelines come from the class
+// representative, so accumulating per-epoch comm sets for them would
 // re-introduce the O(ranks) cost the collapse removed.
 func (c *Cluster) partition(running []*sim.Task) {
 	alias := c.alias
-	if c.active != nil {
-		for _, i := range c.active {
-			c.compute[i] = c.compute[i][:0]
-			c.comms[i] = c.comms[i][:0]
-		}
-	} else {
-		for i := range c.compute {
-			c.compute[i] = c.compute[i][:0]
-			c.comms[i] = c.comms[i][:0]
-		}
+	for _, i := range c.active {
+		d := &c.dev[i]
+		d.compute, d.costs = d.compute[:0], d.costs[:0]
+		d.comms, d.waiting = d.comms[:0], d.waiting[:0]
 	}
 	for _, t := range running {
 		switch p := t.Payload().(type) {
 		case kernels.Desc:
-			d := t.Streams()[0].Device()
-			c.compute[d] = append(c.compute[d], t)
+			d := &c.dev[t.Streams()[0].Device()]
+			d.compute = append(d.compute, t)
+			d.costs = append(d.costs, p.CostOn(c.g))
 		case collective.Desc:
-			if p.Op == collective.SendRecv && p.Waiting() {
+			waiting := p.Waiting()
+			if p.Op == collective.SendRecv && waiting {
 				// A posted receive spins only on the destination; the
 				// sender's kernel does not launch until the producer is
 				// done.
 				if alias == nil || alias[p.Dst] == p.Dst {
-					c.comms[p.Dst] = append(c.comms[p.Dst], t)
+					c.dev[p.Dst].addComm(t, true)
 				}
 				continue
 			}
@@ -217,12 +278,17 @@ func (c *Cluster) partition(running []*sim.Task) {
 				if alias != nil && alias[r] != r {
 					continue
 				}
-				c.comms[r] = append(c.comms[r], t)
+				c.dev[r].addComm(t, waiting)
 			}
 		default:
 			// Host tasks run at unit rate and occupy no device resources.
 		}
 	}
+}
+
+func (d *device) addComm(t *sim.Task, waiting bool) {
+	d.comms = append(d.comms, t)
+	d.waiting = append(d.waiting, waiting)
 }
 
 // Rates implements sim.Platform.
@@ -250,48 +316,65 @@ func (c *Cluster) Rates(now float64, running []*sim.Task) {
 		}
 	}
 
-	c.eachDevice(func(dev int) {
-		nCompute := len(c.compute[dev])
-		if nCompute == 0 && len(c.comms[dev]) == 0 {
-			// Fully idle device: the cap solution is a constant,
-			// precomputed in New.
+	for _, dev := range c.active {
+		c.solve(dev)
+	}
+}
+
+// solve resolves device dev's DVFS frequency and its compute tasks'
+// rates, unless its inputs are those of its last solve and that solve
+// was a fixed point — then both are already what this solve would write.
+// Skipping draws no jitter: every task of a solved device drew its
+// multiplier when that solve ran, so the generator's draw order is the
+// full recompute's.
+func (c *Cluster) solve(dev int) {
+	d := &c.dev[dev]
+	if d.unchanged() {
+		return
+	}
+	nCompute := len(d.compute)
+	if nCompute == 0 {
+		// The idle and comm-only solutions do not depend on the starting
+		// frequency, so they are fixed points by construction. A fully
+		// idle device's is a constant, precomputed in New.
+		if len(d.comms) == 0 {
 			c.freq[dev] = c.idleFreq
-			return
-		}
-		smStolen, hbmStolen, serialize := c.pressure(dev)
-		if nCompute == 0 {
+		} else {
 			c.freq[dev] = c.solveFreqIdleComm(dev)
-			return
 		}
+		d.solved(true)
+		return
+	}
+	smStolen, hbmStolen, serialize := c.pressure(dev)
 
-		// Fixed-point iteration between rate and DVFS frequency: rates
-		// depend on f, the cap-solved f depends on the activity the rates
-		// imply. Compute-bound kernels converge immediately; memory-bound
-		// ones within a few iterations.
-		f := c.freq[dev]
-		if f <= 0 {
-			f = 1
-		}
-		for iter := 0; iter < 4; iter++ {
-			act := c.deviceActivity(dev, f, smStolen, hbmStolen, serialize)
-			nf := power.SolveFreq(c.g, act, c.cfg.Caps)
-			if math.Abs(nf-f) < 1e-6 {
-				f = nf
-				break
-			}
+	// Fixed-point iteration between rate and DVFS frequency: rates
+	// depend on f, the cap-solved f depends on the activity the rates
+	// imply. Compute-bound kernels converge immediately; memory-bound
+	// ones within a few iterations.
+	f0 := c.freq[dev]
+	f := f0
+	if f <= 0 {
+		f = 1
+	}
+	for iter := 0; iter < 4; iter++ {
+		act := c.deviceActivity(dev, f, smStolen, hbmStolen, serialize)
+		nf := power.SolveFreq(c.g, act, c.cfg.Caps)
+		if math.Abs(nf-f) < 1e-6 {
 			f = nf
+			break
 		}
-		c.freq[dev] = f
+		f = nf
+	}
+	c.freq[dev] = f
 
-		for _, t := range c.compute[dev] {
-			kd := t.Payload().(kernels.Desc)
-			r := kernels.Rate(kd, c.g, f, smStolen, hbmStolen, serialize)
-			if nCompute > 1 {
-				r /= float64(nCompute)
-			}
-			t.SetRate(r * c.jitterFor(t))
+	for i, t := range d.compute {
+		r := d.costs[i].Rate(f, smStolen, hbmStolen, serialize)
+		if nCompute > 1 {
+			r /= float64(nCompute)
 		}
-	})
+		t.SetRate(r * c.jitterFor(t))
+	}
+	d.solved(f == f0)
 }
 
 // SetAliases installs the device→representative map of a collapsed plan
@@ -300,27 +383,25 @@ func (c *Cluster) Rates(now float64, running []*sim.Task) {
 // cover every device. Callers must install aliases before the run and
 // call FinalizeAliases after it.
 func (c *Cluster) SetAliases(alias []int) {
-	c.alias, c.active = nil, nil
-	if alias == nil || len(alias) < c.n {
-		return
+	c.alias = nil
+	c.active = c.active[:0]
+	for d := range c.dev {
+		c.dev[d].reset()
 	}
 	identity := true
-	for d := 0; d < c.n; d++ {
-		if alias[d] != d {
-			identity = false
-			break
+	if alias != nil && len(alias) >= c.n {
+		for d := 0; d < c.n; d++ {
+			if alias[d] != d {
+				identity = false
+				break
+			}
 		}
 	}
-	if identity {
-		return
+	if !identity {
+		c.alias = alias
 	}
-	c.alias = alias
 	for d := 0; d < c.n; d++ {
-		// Clear ghost scratch once here: partition only resets active
-		// devices from now on.
-		c.compute[d] = c.compute[d][:0]
-		c.comms[d] = c.comms[d][:0]
-		if alias[d] == d {
+		if c.alias == nil || c.alias[d] == d {
 			c.active = append(c.active, d)
 		}
 	}
@@ -348,55 +429,8 @@ func (c *Cluster) FinalizeAliases() {
 }
 
 // Deterministic reports whether the rate model is free of run-to-run
-// jitter — the precondition for collapsing symmetry classes and for
-// pooled device loops.
+// jitter — the precondition for collapsing symmetry classes.
 func (c *Cluster) Deterministic() bool { return c.cfg.JitterSigma <= 0 }
-
-// SetPool attaches a worker pool for the per-device rate and power
-// loops. Ignored when jitter is enabled: the jitter cache and its
-// generator are shared across devices and must stay single-threaded.
-func (c *Cluster) SetPool(p *sim.Pool) {
-	if !c.Deterministic() {
-		return
-	}
-	c.pool = p
-}
-
-// poolMinDevices is the simulated-device count below which the
-// per-device loops stay serial.
-const poolMinDevices = 64
-
-// eachDevice runs fn once per simulated device. Devices are independent
-// within an epoch (each owns its freq slot, sampler and task rates), so
-// wide loops split across the pool; order does not matter because no
-// cross-device state is written.
-func (c *Cluster) eachDevice(fn func(dev int)) {
-	if c.active != nil {
-		if c.pool != nil && len(c.active) >= poolMinDevices {
-			c.pool.RunRange(len(c.active), func(_, lo, hi int) {
-				for _, dev := range c.active[lo:hi] {
-					fn(dev)
-				}
-			})
-			return
-		}
-		for _, dev := range c.active {
-			fn(dev)
-		}
-		return
-	}
-	if c.pool != nil && c.n >= poolMinDevices {
-		c.pool.RunRange(c.n, func(_, lo, hi int) {
-			for dev := lo; dev < hi; dev++ {
-				fn(dev)
-			}
-		})
-		return
-	}
-	for dev := 0; dev < c.n; dev++ {
-		fn(dev)
-	}
-}
 
 // serializeWeight scales the vendor serialization fraction by operation
 // class: reducing ring collectives interfere with the compute scheduler
@@ -417,11 +451,12 @@ func serializeWeight(op collective.Op) float64 {
 // stolen SMs, stolen HBM bandwidth (bytes/s) and the issue-serialization
 // fraction.
 func (c *Cluster) pressure(dev int) (smStolen, hbmStolen, serialize float64) {
-	for _, t := range c.comms[dev] {
+	d := &c.dev[dev]
+	for i, t := range d.comms {
 		cd := t.Payload().(collective.Desc)
 		sm := float64(collective.SMOccupancy(cd, c.g))
 		w := c.g.Contention.SerializeFrac * serializeWeight(cd.Op)
-		if cd.Waiting() {
+		if d.waiting[i] {
 			// A spinning kernel holds its launch footprint but issues
 			// little traffic; it steals fewer resources than an active
 			// transfer.
@@ -445,24 +480,25 @@ func (c *Cluster) pressure(dev int) (smStolen, hbmStolen, serialize float64) {
 // deviceActivity estimates the power-model activity of device dev when its
 // compute tasks run at frequency factor f under the given contention.
 func (c *Cluster) deviceActivity(dev int, f, smStolen, hbmStolen, serialize float64) power.Activity {
+	d := &c.dev[dev]
 	var act power.Activity
-	for _, t := range c.compute[dev] {
-		kd := t.Payload().(kernels.Desc)
-		r := kernels.Rate(kd, c.g, f, smStolen, hbmStolen, serialize)
-		if n := len(c.compute[dev]); n > 1 {
+	n := len(d.compute)
+	for _, cost := range d.costs {
+		r := cost.Rate(f, smStolen, hbmStolen, serialize)
+		if n > 1 {
 			r /= float64(n)
 		}
-		v, m, mem := activityOf(kd, c.g, r, f)
+		v, m, mem := cost.Activity(r, f)
 		act.Vec += v
 		act.Mat += m
 		act.Mem += mem
 	}
 	commUtil := 0.0
-	for _, t := range c.comms[dev] {
-		cd := t.Payload().(collective.Desc)
-		if cd.Waiting() {
+	for i, t := range d.comms {
+		if d.waiting[i] {
 			continue
 		}
+		cd := t.Payload().(collective.Desc)
 		wireRate := cd.WireBW(c.fabric)
 		commUtil += wireRate / c.g.UniLinkBW()
 		act.Mem += collective.HBMDraw(cd, c.g, wireRate) / c.g.MemBW()
@@ -495,92 +531,51 @@ func (c *Cluster) solveFreqIdleComm(dev int) float64 {
 	return power.SolveFreq(c.g, act, c.cfg.Caps)
 }
 
-// activityOf converts a kernel running at rate r (work units/s) under
-// frequency factor f into datapath and memory activities. Issue activity
-// is normalized to the throughput available at the current frequency, so
-// a cap-throttled but fully occupied datapath still shows high activity.
-// Fused descriptors split their FLOPs between datapaths by part.
-func activityOf(d kernels.Desc, g *hw.GPUSpec, r, f float64) (vec, mat, mem float64) {
-	if r <= 0 || math.IsInf(r, 1) || f <= 0 {
-		return 0, 0, 0
-	}
-	w := kernels.Work(d)
-	if w <= 0 {
-		return 0, 0, 0
-	}
-	dur := w / r
-	vecF, matF := d.FLOPsByPath()
-	if vecF > 0 {
-		if peak := peakFor(g, precision.Vector, d.Format); peak > 0 {
-			vec = (vecF / dur) / (peak * f)
-		}
-	}
-	if matF > 0 {
-		if peak := peakFor(g, precision.Matrix, d.Format); peak > 0 {
-			mat = (matF / dur) / (peak * f)
-		}
-	}
-	if vec > 1 {
-		vec = 1
-	}
-	if mat > 1 {
-		mat = 1
-	}
-	if d.Bytes > 0 {
-		mem = (d.Bytes / dur) / g.MemBW()
-		if mem > 1 {
-			mem = 1
-		}
-	}
-	return vec, mat, mem
-}
-
-// peakFor returns the peak throughput of a datapath in the given format,
-// falling back to FP32 when the exact format is not tabulated (fused tasks
-// mix formats across parts).
-func peakFor(g *hw.GPUSpec, path precision.Datapath, f precision.Format) float64 {
-	if p := g.PeakFLOPS(path, f); p > 0 {
-		return p
-	}
-	return g.PeakFLOPS(path, precision.FP32)
-}
-
 // Segment implements sim.Observer: it integrates per-GPU power over one
 // constant-rate segment. The engine calls Segment immediately after
 // Rates with the identical running set, so the device partition computed
-// there is reused instead of rebuilt.
+// there is reused instead of rebuilt, and a device Rates skipped reuses
+// the watts priced after its last solve.
 func (c *Cluster) Segment(t0, t1 float64, running []*sim.Task) {
-	if !c.partFresh || c.partLen != len(running) {
+	fresh := c.partFresh && c.partLen == len(running)
+	if !fresh {
 		c.partition(running)
 	}
 	c.partFresh = false
-	c.eachDevice(func(dev int) {
+	for _, dev := range c.active {
+		d := &c.dev[dev]
 		var w float64
-		if len(c.compute[dev]) == 0 && len(c.comms[dev]) == 0 && c.freq[dev] == c.idleFreq {
+		switch {
+		case fresh && d.priced:
+			w = d.watts
+		case len(d.compute) == 0 && len(d.comms) == 0 && c.freq[dev] == c.idleFreq:
 			w = c.idleW
-		} else {
+		default:
 			w = power.Instant(c.g, c.segmentActivity(dev), c.freq[dev])
+		}
+		if fresh {
+			d.watts, d.priced = w, true
 		}
 		c.samplers[dev].Add(t0, t1, w)
 		if c.traces != nil {
 			c.traces[dev].Add(t0, t1, w)
 		}
-	})
+	}
 }
 
 // segmentActivity reads activity directly from the rates the platform
 // assigned for the current segment.
 func (c *Cluster) segmentActivity(dev int) power.Activity {
+	d := &c.dev[dev]
 	var act power.Activity
 	f := c.freq[dev]
-	for _, t := range c.compute[dev] {
-		kd := t.Payload().(kernels.Desc)
-		v, m, mem := activityOf(kd, c.g, t.Rate(), f)
+	for i, t := range d.compute {
+		v, m, mem := d.costs[i].Activity(t.Rate(), f)
 		act.Vec += v
 		act.Mat += m
 		act.Mem += mem
 	}
-	for _, t := range c.comms[dev] {
+	for _, t := range d.comms {
 		cd := t.Payload().(collective.Desc)
 		wireRate := t.Rate()
 		act.Comm += wireRate / c.g.UniLinkBW()

@@ -9,6 +9,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"overlapsim/internal/hw"
 	"overlapsim/internal/precision"
@@ -72,6 +73,10 @@ type Desc struct {
 	// of the listed kernels (see Fuse). Timing sums the parts; FLOPs and
 	// Bytes hold the totals.
 	Parts []Desc
+
+	// cost caches the roofline constants on one GPU (see Prepare); nil
+	// for descriptors that were never prepared.
+	cost *Cost
 }
 
 // Fuse aggregates several kernels into one descriptor executed as a unit —
@@ -216,18 +221,14 @@ func Optimizer(name string, params float64) Desc {
 // BaseTime returns the contention-free execution time of the kernel on g at
 // full frequency: the roofline maximum of the compute and memory times.
 func BaseTime(d Desc, g *hw.GPUSpec) float64 {
-	return workTime(d, g, 1, 0, 0, 0)
+	return d.CostOn(g).Time(1, 0, 0, 0)
 }
 
 // BaseRate returns the contention-free execution rate of the kernel in
 // work units per second, where work is FLOPs for compute-classified
 // kernels (or bytes when FLOPs is zero).
 func BaseRate(d Desc, g *hw.GPUSpec) float64 {
-	t := BaseTime(d, g)
-	if t <= 0 {
-		return math.Inf(1)
-	}
-	return Work(d) / t
+	return d.CostOn(g).Rate(1, 0, 0, 0)
 }
 
 // Work returns the abstract work units the simulator tracks for the
@@ -240,21 +241,9 @@ func Work(d Desc) float64 {
 }
 
 // Rate returns the kernel's execution rate in work units per second under
-// the given contention state:
-//
-//	freq         — DVFS frequency factor in (0,1];
-//	smStolen     — SMs occupied by co-resident collective kernels;
-//	hbmStolen    — HBM bandwidth consumed by collectives, bytes/s;
-//	serialize    — issue-rate derate while collectives are resident.
-//
-// The model is a contended roofline: the compute ceiling loses frequency,
-// SMs and issue slots; the memory ceiling loses stolen bandwidth.
+// the given contention state (see Cost.Time).
 func Rate(d Desc, g *hw.GPUSpec, freq, smStolen, hbmStolen, serialize float64) float64 {
-	t := workTime(d, g, freq, smStolen, hbmStolen, serialize)
-	if t <= 0 {
-		return math.Inf(1)
-	}
-	return Work(d) / t
+	return d.CostOn(g).Rate(freq, smStolen, hbmStolen, serialize)
 }
 
 // minMemFloor is the fraction of HBM bandwidth compute kernels always
@@ -262,27 +251,136 @@ func Rate(d Desc, g *hw.GPUSpec, freq, smStolen, hbmStolen, serialize float64) f
 // guarantees forward progress).
 const minMemFloor = 0.15
 
-func workTime(d Desc, g *hw.GPUSpec, freq, smStolen, hbmStolen, serialize float64) float64 {
-	if len(d.Parts) > 0 {
-		t := 0.0
-		for _, p := range d.Parts {
-			t += workTime(p, g, freq, smStolen, hbmStolen, serialize)
-		}
-		return t
-	}
-	if freq <= 0 {
-		freq = g.Power.FMin
-	}
-	smFrac := 1 - smStolen/float64(g.SMs)
-	if smFrac < 0.05 {
-		smFrac = 0.05
-	}
-	issue := 1 - serialize
-	if issue < 0.05 {
-		issue = 0.05
-	}
+// Cost is a kernel descriptor's roofline resolved against one GPU: the
+// per-part constants the contended rate model evaluates on every
+// simulation epoch, and the datapath split the power model reads. It is
+// a pure function of the descriptor's exported fields and the GPUSpec.
+type Cost struct {
+	g    *hw.GPUSpec
+	work float64
 
-	peak := g.PeakFLOPS(d.Path, d.Format)
+	fmin  float64 // frequency substituted for a non-positive factor
+	sms   float64 // SM count
+	memBW float64 // achievable HBM bandwidth, bytes/s
+
+	// Whole-descriptor activity constants: total bytes, FLOPs per
+	// datapath, and each datapath's peak in the headline format.
+	bytes, vecF, matF, peakVec, peakMat float64
+
+	// parts are the descriptor's distinct parts (the descriptor itself
+	// when unfused). order lists, in fusion order, each part's index in
+	// parts; it is nil when no part repeats, and then parts is already
+	// in fusion order. Fused layer stacks repeat the same dozen kernels
+	// per layer, so each distinct part's time is evaluated once and the
+	// sum still adds every part's time in fusion order.
+	parts []partCost
+	order []uint8
+}
+
+// maxDistinctParts bounds the deduplicated part table (and the stack
+// scratch Time evaluates it into); descriptors with more distinct parts
+// keep every part in fusion order instead.
+const maxDistinctParts = 64
+
+// partCost holds one unfused kernel's roofline constants.
+type partCost struct {
+	flops, bytes float64
+	// pe is peak·efficiency kept as one factor, so the contended compute
+	// ceiling multiplies in the same order as peak·eff·sm·f·issue. It is
+	// zero on a datapath without a peak, which makes a part with FLOPs
+	// there take forever (+Inf), as it must.
+	pe float64
+}
+
+// same reports whether q has p's constants bit for bit.
+func (p partCost) same(q partCost) bool {
+	return math.Float64bits(p.flops) == math.Float64bits(q.flops) &&
+		math.Float64bits(p.bytes) == math.Float64bits(q.bytes) &&
+		math.Float64bits(p.pe) == math.Float64bits(q.pe)
+}
+
+// time returns the part's contended roofline time.
+func (p *partCost) time(smFrac, freq, issue, availMem float64) float64 {
+	var tCompute, tMem float64
+	if p.flops > 0 {
+		tCompute = p.flops / (p.pe * smFrac * freq * issue)
+	}
+	if p.bytes > 0 {
+		tMem = p.bytes / (availMem * issue)
+	}
+	return math.Max(tCompute, tMem)
+}
+
+// Prepare returns the descriptor with its roofline constants on g
+// resolved once — per-part FLOPs, peak·efficiency, bytes, the datapath
+// split and peaks — so the device model evaluates a handful of
+// multiplications per part on every epoch instead of re-deriving them
+// through map lookups. Strategy builders prepare each fused descriptor
+// once per plan (exec.KernelOp) and fan it out to every task, so the
+// constants are shared, not copied.
+//
+// The cache binds the descriptor to g: a prepared Desc is only rated
+// from its cache against the GPUSpec it was prepared for, and any other
+// spec recomputes the constants on the fly (see CostOn). Prepare after
+// the descriptor's fields are final; modifying a prepared Desc leaves
+// its cache stale.
+func Prepare(d Desc, g *hw.GPUSpec) Desc {
+	d.cost = newCost(&d, g)
+	return d
+}
+
+// CostOn returns the descriptor's cost on g: the prepared constants when
+// d was prepared for g, otherwise freshly resolved ones (hand-built
+// descriptors, such as microbenchmark kernels, take this path).
+func (d *Desc) CostOn(g *hw.GPUSpec) *Cost {
+	if d.cost != nil && d.cost.g == g {
+		return d.cost
+	}
+	return newCost(d, g)
+}
+
+func newCost(d *Desc, g *hw.GPUSpec) *Cost {
+	c := &Cost{
+		g:       g,
+		work:    Work(*d),
+		fmin:    g.Power.FMin,
+		sms:     float64(g.SMs),
+		memBW:   g.MemBW(),
+		bytes:   d.Bytes,
+		peakVec: peakFor(g, precision.Vector, d.Format),
+		peakMat: peakFor(g, precision.Matrix, d.Format),
+	}
+	c.vecF, c.matF = d.FLOPsByPath()
+	if len(d.Parts) == 0 {
+		c.parts = []partCost{partOf(d, g)}
+		return c
+	}
+	order := make([]uint8, len(d.Parts))
+	for i := range d.Parts {
+		p := partOf(&d.Parts[i], g)
+		k := slices.IndexFunc(c.parts, p.same)
+		if k < 0 {
+			if len(c.parts) == maxDistinctParts {
+				// Too varied to deduplicate: keep every part in order.
+				c.parts, order = make([]partCost, len(d.Parts)), nil
+				for j := range d.Parts {
+					c.parts[j] = partOf(&d.Parts[j], g)
+				}
+				break
+			}
+			k = len(c.parts)
+			c.parts = append(c.parts, p)
+		}
+		order[i] = uint8(k)
+	}
+	if len(c.parts) < len(d.Parts) {
+		c.order = order
+	}
+	return c
+}
+
+// partOf resolves one unfused descriptor's roofline constants.
+func partOf(d *Desc, g *hw.GPUSpec) partCost {
 	eff := 1.0
 	if d.Op == OpGEMM {
 		eff = g.GEMMEff(d.K, d.Path, d.Format)
@@ -290,23 +388,103 @@ func workTime(d Desc, g *hw.GPUSpec, freq, smStolen, hbmStolen, serialize float6
 		// Non-GEMM kernels are issue-limited well below vector peak.
 		eff = 0.5
 	}
+	return partCost{flops: d.FLOPs, bytes: d.Bytes, pe: g.PeakFLOPS(d.Path, d.Format) * eff}
+}
 
-	availMem := g.MemBW() - hbmStolen
-	if floor := g.MemBW() * minMemFloor; availMem < floor {
+// peakFor returns the peak throughput of a datapath in the given format,
+// falling back to FP32 when the exact format is not tabulated (fused tasks
+// mix formats across parts).
+func peakFor(g *hw.GPUSpec, path precision.Datapath, f precision.Format) float64 {
+	if p := g.PeakFLOPS(path, f); p > 0 {
+		return p
+	}
+	return g.PeakFLOPS(path, precision.FP32)
+}
+
+// Time returns the kernel's execution time under the given contention
+// state:
+//
+//	freq         — DVFS frequency factor in (0,1];
+//	smStolen     — SMs occupied by co-resident collective kernels;
+//	hbmStolen    — HBM bandwidth consumed by collectives, bytes/s;
+//	serialize    — issue-rate derate while collectives are resident.
+//
+// The model is a contended roofline: the compute ceiling loses frequency,
+// SMs and issue slots; the memory ceiling loses stolen bandwidth. A
+// fused descriptor takes the sum of its parts' times.
+func (c *Cost) Time(freq, smStolen, hbmStolen, serialize float64) float64 {
+	if freq <= 0 {
+		freq = c.fmin
+	}
+	smFrac := 1 - smStolen/c.sms
+	if smFrac < 0.05 {
+		smFrac = 0.05
+	}
+	issue := 1 - serialize
+	if issue < 0.05 {
+		issue = 0.05
+	}
+	availMem := c.memBW - hbmStolen
+	if floor := c.memBW * minMemFloor; availMem < floor {
 		availMem = floor
 	}
+	t := 0.0
+	if c.order == nil {
+		for i := range c.parts {
+			t += c.parts[i].time(smFrac, freq, issue, availMem)
+		}
+		return t
+	}
+	var pt [maxDistinctParts]float64
+	for i := range c.parts {
+		pt[i] = c.parts[i].time(smFrac, freq, issue, availMem)
+	}
+	for _, k := range c.order {
+		t += pt[k]
+	}
+	return t
+}
 
-	var tCompute, tMem float64
-	if d.FLOPs > 0 && peak > 0 {
-		tCompute = d.FLOPs / (peak * eff * smFrac * freq * issue)
-	}
-	if d.Bytes > 0 {
-		tMem = d.Bytes / (availMem * issue)
-	}
-	if d.FLOPs > 0 && peak == 0 {
+// Rate returns the execution rate in work units per second under the
+// given contention state (see Time).
+func (c *Cost) Rate(freq, smStolen, hbmStolen, serialize float64) float64 {
+	t := c.Time(freq, smStolen, hbmStolen, serialize)
+	if t <= 0 {
 		return math.Inf(1)
 	}
-	return math.Max(tCompute, tMem)
+	return c.work / t
+}
+
+// Activity converts the kernel running at rate r (work units/s) under
+// frequency factor f into datapath and memory activities for the power
+// model. Issue activity is normalized to the throughput available at the
+// current frequency, so a cap-throttled but fully occupied datapath still
+// shows high activity. Fused descriptors split their FLOPs between
+// datapaths by part.
+func (c *Cost) Activity(r, f float64) (vec, mat, mem float64) {
+	if r <= 0 || math.IsInf(r, 1) || f <= 0 || c.work <= 0 {
+		return 0, 0, 0
+	}
+	dur := c.work / r
+	if c.vecF > 0 && c.peakVec > 0 {
+		vec = (c.vecF / dur) / (c.peakVec * f)
+	}
+	if c.matF > 0 && c.peakMat > 0 {
+		mat = (c.matF / dur) / (c.peakMat * f)
+	}
+	if vec > 1 {
+		vec = 1
+	}
+	if mat > 1 {
+		mat = 1
+	}
+	if c.bytes > 0 {
+		mem = (c.bytes / dur) / c.memBW
+		if mem > 1 {
+			mem = 1
+		}
+	}
+	return vec, mat, mem
 }
 
 // Utilization returns the instantaneous utilization of the vector datapath,

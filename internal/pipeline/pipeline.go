@@ -246,6 +246,7 @@ func (b *builder) prepare() {
 	layers := splitLayers(m.Layers, b.n)
 	headF := m.HeadKernels(micro, b.cfg.Format, b.cfg.MatrixUnits, true)
 	headB := m.HeadKernels(micro, b.cfg.Format, b.cfg.MatrixUnits, false)
+	g := b.cl.GPU()
 	for s := 0; s < b.n; s++ {
 		var fParts, bParts []kernels.Desc
 		if s == 0 {
@@ -264,10 +265,10 @@ func (b *builder) prepare() {
 		if s == 0 {
 			bParts = append(bParts, headB[2]) // embedding gradient scatter
 		}
-		b.fwdOp = append(b.fwdOp, exec.KernelOp(kernels.Fuse(fmt.Sprintf("fwd.stage%d", s), fParts...)))
-		b.bwdOp = append(b.bwdOp, exec.KernelOp(kernels.Fuse(fmt.Sprintf("bwd.stage%d", s), bParts...)))
+		b.fwdOp = append(b.fwdOp, exec.KernelOp(kernels.Fuse(fmt.Sprintf("fwd.stage%d", s), fParts...), g))
+		b.bwdOp = append(b.bwdOp, exec.KernelOp(kernels.Fuse(fmt.Sprintf("bwd.stage%d", s), bParts...), g))
 		stageParams := float64(layers[s])*m.ParamsPerLayer() + m.EmbedParams()/float64(b.n)
-		b.optOp = append(b.optOp, exec.KernelOp(m.OptimizerKernel(stageParams)))
+		b.optOp = append(b.optOp, exec.KernelOp(m.OptimizerKernel(stageParams), g))
 	}
 	b.actBytes = float64(micro) * float64(m.SeqLen) * float64(m.Hidden) * float64(b.cfg.Format.Bytes())
 }

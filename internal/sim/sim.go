@@ -252,9 +252,7 @@ type Engine struct {
 	strmNext  int
 	doneTmp   []*Task // retirement scratch, reused across epochs
 
-	ghosts []*Task     // collapsed tasks awaiting timeline reconstruction (symmetry.go)
-	pool   *Pool       // optional workers for wide epoch scans (parallel.go)
-	scanSc []shardScan // per-shard scan scratch, padded against false sharing
+	ghosts []*Task // collapsed tasks awaiting timeline reconstruction (symmetry.go)
 
 	// Self-stats (see Stats). Plain ints, incremented from the single
 	// scheduler goroutine: counting stays off the allocation path and
@@ -515,38 +513,12 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	}
 }
 
-// SetPool attaches a worker pool used to parallelize the per-epoch scan
-// and decrement passes once the running set is wide enough to pay for
-// the barrier. The pool is borrowed, not owned: the caller closes it.
-// Pooled passes are bit-identical to serial ones — each shard computes
-// the same per-task arithmetic, and the shard merge (an exact float min
-// plus boolean ORs) is order-independent.
-func (e *Engine) SetPool(p *Pool) { e.pool = p }
-
-// poolMinRunning is the running-set width below which the per-epoch
-// passes stay serial: under ~256 tasks the pool barrier costs more than
-// the scan it splits.
-const poolMinRunning = 256
-
-// shardScan is one worker's slice of the fused epoch scan, padded so
-// that adjacent workers' results never share a cache line.
-type shardScan struct {
-	dt       float64
-	stalled  bool
-	instant  bool
-	retiring bool
-	_        [117]byte
-}
-
 // scanRunning is the fused per-epoch pass over the running set: it finds
 // instant completions (zero-work tasks, already-exhausted residuals),
 // the stall condition, and the minimum-completion candidate that bounds
 // the epoch — the quantities the scheduler previously collected in three
 // separate scans.
 func (e *Engine) scanRunning() (dt float64, stalled, instant bool) {
-	if e.pool != nil && len(e.running) >= poolMinRunning {
-		return e.scanRunningPooled()
-	}
 	dt = math.Inf(1)
 	stalled = true
 	for _, t := range e.running {
@@ -564,52 +536,9 @@ func (e *Engine) scanRunning() (dt float64, stalled, instant bool) {
 	return dt, stalled, instant
 }
 
-func (e *Engine) scanRunningPooled() (float64, bool, bool) {
-	w := e.pool.Workers()
-	if cap(e.scanSc) < w {
-		e.scanSc = make([]shardScan, w)
-	}
-	res := e.scanSc[:w]
-	for i := range res {
-		res[i] = shardScan{dt: math.Inf(1), stalled: true}
-	}
-	e.pool.RunRange(len(e.running), func(shard, lo, hi int) {
-		dt := math.Inf(1)
-		stalled := true
-		instant := false
-		for _, t := range e.running[lo:hi] {
-			if t.remaining <= timeEps {
-				instant = true
-			}
-			if t.rate <= 0 {
-				continue
-			}
-			stalled = false
-			if d := t.remaining / t.rate; d < dt {
-				dt = d
-			}
-		}
-		res[shard] = shardScan{dt: dt, stalled: stalled, instant: instant}
-	})
-	dt := math.Inf(1)
-	stalled := true
-	instant := false
-	for i := range res {
-		if res[i].dt < dt {
-			dt = res[i].dt
-		}
-		stalled = stalled && res[i].stalled
-		instant = instant || res[i].instant
-	}
-	return dt, stalled, instant
-}
-
 // decrementRunning advances every running task by dt at its current rate
 // and reports whether any task exhausted its work.
 func (e *Engine) decrementRunning(dt float64) bool {
-	if e.pool != nil && len(e.running) >= poolMinRunning {
-		return e.decrementRunningPooled(dt)
-	}
 	retiring := false
 	for _, t := range e.running {
 		t.remaining -= t.rate * dt
@@ -618,33 +547,6 @@ func (e *Engine) decrementRunning(dt float64) bool {
 		}
 	}
 	return retiring
-}
-
-func (e *Engine) decrementRunningPooled(dt float64) bool {
-	w := e.pool.Workers()
-	if cap(e.scanSc) < w {
-		e.scanSc = make([]shardScan, w)
-	}
-	res := e.scanSc[:w]
-	for i := range res {
-		res[i].retiring = false
-	}
-	e.pool.RunRange(len(e.running), func(shard, lo, hi int) {
-		retiring := false
-		for _, t := range e.running[lo:hi] {
-			t.remaining -= t.rate * dt
-			if t.remaining <= timeEps {
-				retiring = true
-			}
-		}
-		res[shard].retiring = retiring
-	})
-	for i := range res {
-		if res[i].retiring {
-			return true
-		}
-	}
-	return false
 }
 
 // admit moves ready stream heads into the running set, rechecking only

@@ -311,15 +311,16 @@ func (b *builder) makeDescs() descs {
 	headBwd := m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)
 
 	tokens := float64(b.local) * float64(m.SeqLen)
+	g := b.cl.GPU()
 	return descs{
-		attnF:      exec.KernelOp(shard(kernels.Fuse("fwd.attn", attnKs...), b.d)),
-		mlpF:       exec.KernelOp(shard(kernels.Fuse("fwd.mlp", mlpKs...), b.d)),
-		dgrad:      exec.KernelOp(shard(kernels.Fuse("bwd.dgrad", dgradKs...), b.d)),
-		wgrad:      exec.KernelOp(shard(kernels.Fuse("bwd.wgrad", wgradKs...), b.d)),
-		embedF:     exec.KernelOp(shard(kernels.Fuse("fwd.embed", headFwd[0]), b.d)),
-		headF:      exec.KernelOp(shard(kernels.Fuse("fwd.lmhead", headFwd[1:]...), b.d)),
-		headB:      exec.KernelOp(shard(kernels.Fuse("bwd.head", headBwd...), b.d)),
-		opt:        exec.KernelOp(m.OptimizerKernel(m.TotalParams() / float64(b.d))),
+		attnF:      exec.KernelOp(shard(kernels.Fuse("fwd.attn", attnKs...), b.d), g),
+		mlpF:       exec.KernelOp(shard(kernels.Fuse("fwd.mlp", mlpKs...), b.d), g),
+		dgrad:      exec.KernelOp(shard(kernels.Fuse("bwd.dgrad", dgradKs...), b.d), g),
+		wgrad:      exec.KernelOp(shard(kernels.Fuse("bwd.wgrad", wgradKs...), b.d), g),
+		embedF:     exec.KernelOp(shard(kernels.Fuse("fwd.embed", headFwd[0]), b.d), g),
+		headF:      exec.KernelOp(shard(kernels.Fuse("fwd.lmhead", headFwd[1:]...), b.d), g),
+		headB:      exec.KernelOp(shard(kernels.Fuse("bwd.head", headBwd...), b.d), g),
+		opt:        exec.KernelOp(m.OptimizerKernel(m.TotalParams()/float64(b.d)), g),
 		actBytes:   tokens * float64(m.Hidden) * e,
 		layerShard: m.ParamsPerLayer() * e / float64(b.d),
 		embedShard: m.EmbedParams() * e / float64(b.d),

@@ -1,7 +1,6 @@
 package overlapsim_bench
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -142,25 +141,5 @@ func TestJitterDisablesCollapse(t *testing.T) {
 	}
 	if plan.GhostTasks() != 0 {
 		t.Fatalf("jittered plan collapsed %d tasks", plan.GhostTasks())
-	}
-}
-
-// TestParallelMatchesSerial: a forced worker pool must not change one
-// bit of the schedule — the pooled scans reduce in shard order.
-func TestParallelMatchesSerial(t *testing.T) {
-	run := func(parallel int) string {
-		plan, err := core.BuildPlan(symTestConfig("fsdp"), exec.Overlapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan.Parallel = parallel
-		plan.NoCollapse = true // keep the running set wide enough to matter
-		if err := plan.RunContext(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return planDigest(t, plan)
-	}
-	if serial, pooled := run(1), run(4); serial != pooled {
-		t.Fatalf("pooled run diverged from serial: %s vs %s", pooled, serial)
 	}
 }
