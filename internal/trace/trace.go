@@ -57,11 +57,40 @@ func FromTasks(tasks []*sim.Task) *Timeline {
 // here loses no information and keeps measurement O(live devices).
 func FromTasksKept(tasks []*sim.Task, keep func(device int) bool) *Timeline {
 	tl := New()
+	// Size each device's interval list exactly before filling it: one
+	// allocation per device instead of append doubling.
+	counts := make(map[int]int)
+	for _, t := range tasks {
+		eachDevice(t, keep, func(dev int) { counts[dev]++ })
+	}
+	for dev, n := range counts {
+		tl.byDevice[dev] = make([]Interval, 0, n)
+	}
 	for _, t := range tasks {
 		tl.addTask(t, keep)
 	}
 	tl.sortAll()
 	return tl
+}
+
+// eachDevice calls fn for every device a completed task contributes an
+// interval to (see addTask).
+func eachDevice(t *sim.Task, keep func(device int) bool, fn func(dev int)) {
+	if !t.Done() {
+		return
+	}
+	switch p := t.Payload().(type) {
+	case kernels.Desc:
+		if dev := t.Streams()[0].Device(); keep == nil || keep(dev) {
+			fn(dev)
+		}
+	case collective.Desc:
+		for _, r := range p.Participants() {
+			if keep == nil || keep(r) {
+				fn(r)
+			}
+		}
+	}
 }
 
 // AddTask appends the intervals of one completed task.
@@ -202,20 +231,16 @@ func (tl *Timeline) DeviceOverlap(device int) (computeT, commT, computeOv, commO
 	if !sortedByStart(ivs) {
 		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
 	}
-	compute := make([]Interval, 0, len(ivs))
-	comm := make([]Interval, 0, len(ivs))
 	for _, iv := range ivs {
 		switch iv.Kind {
 		case sim.KindCompute:
-			compute = append(compute, iv)
 			computeT += iv.Dur()
 		case sim.KindComm:
-			comm = append(comm, iv)
 			commT += iv.Dur()
 		}
 	}
-	computeOv = sweepIntersect(compute, unionSorted(comm))
-	commOv = sweepIntersect(comm, unionSorted(compute))
+	computeOv = sweepIntersect(ivs, sim.KindCompute, unionSorted(ivs, sim.KindComm))
+	commOv = sweepIntersect(ivs, sim.KindComm, unionSorted(ivs, sim.KindCompute))
 	return computeT, commT, computeOv, commOv
 }
 
@@ -229,15 +254,19 @@ func sortedByStart(ivs []Interval) bool {
 	return true
 }
 
-// unionSorted is Union for input already sorted by start: it skips the
-// defensive copy and sort, producing the identical disjoint cover.
-func unionSorted(ivs []Interval) []Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	out := make([]Interval, 0, len(ivs))
-	out = append(out, ivs[0])
-	for _, iv := range ivs[1:] {
+// unionSorted is Union of the kind-k intervals of a start-sorted slice:
+// it skips the defensive copy and sort, producing the identical disjoint
+// cover.
+func unionSorted(ivs []Interval, k sim.Kind) []Interval {
+	var out []Interval
+	for _, iv := range ivs {
+		if iv.Kind != k {
+			continue
+		}
+		if len(out) == 0 {
+			out = append(out, iv)
+			continue
+		}
 		last := &out[len(out)-1]
 		if iv.Start <= last.End {
 			if iv.End > last.End {
@@ -250,15 +279,18 @@ func unionSorted(ivs []Interval) []Interval {
 	return out
 }
 
-// sweepIntersect sums, over the start-sorted intervals as, the length of
-// each interval's intersection with the sorted disjoint cover. The cover
-// cursor only moves forward, so the sweep is linear in practice; each
-// interval accumulates its own subtotal first, reproducing intersectLen's
-// float grouping exactly.
-func sweepIntersect(as, cover []Interval) float64 {
+// sweepIntersect sums, over the kind-k intervals of the start-sorted
+// slice ivs, the length of each interval's intersection with the sorted
+// disjoint cover. The cover cursor only moves forward, so the sweep is
+// linear in practice; each interval accumulates its own subtotal first,
+// reproducing intersectLen's float grouping exactly.
+func sweepIntersect(ivs []Interval, k sim.Kind, cover []Interval) float64 {
 	s := 0.0
 	j := 0
-	for _, a := range as {
+	for _, a := range ivs {
+		if a.Kind != k {
+			continue
+		}
 		for j < len(cover) && cover[j].End <= a.Start {
 			j++
 		}
