@@ -5,8 +5,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the whole evaluation. Shapes to compare against the paper are
-// recorded in EXPERIMENTS.md.
+// reproduces the whole evaluation. The shapes to compare against the paper
+// are asserted as the paper's takeaways in internal/core/takeaways_test.go.
 package overlapsim_bench
 
 import (
@@ -344,6 +344,43 @@ func BenchmarkEngineScale(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(cfg.System.TotalGPUs()), "gpus")
+		})
+	}
+}
+
+// BenchmarkEngineScaleJitter is the jittered counterpart of
+// BenchmarkEngineScale: the same FSDP shape with σ=0.02 kernel jitter,
+// which vetoes the symmetry collapse, so every rank is simulated and
+// the ranks de-synchronize. It reports the epoch count and the
+// wall-clock cost per epoch, separating "more epochs" from "dearer
+// epochs" when the jittered path gets faster or slower.
+func BenchmarkEngineScaleJitter(b *testing.B) {
+	for _, ranks := range []int{32, 128} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			cfg := core.Config{
+				System:      hw.NewMultiNode(hw.H100(), 8, (ranks+7)/8),
+				Model:       model.GPT3XL(),
+				Parallelism: "fsdp",
+				Batch:       ranks,
+				Format:      precision.FP16,
+				MatrixUnits: true,
+				Iterations:  1,
+				Warmup:      0,
+				JitterSigma: 0.02,
+				Seed:        1,
+			}
+			var res *core.ModeResult
+			var err error
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = core.RunMode(context.Background(), cfg, exec.Overlapped); err != nil {
+					b.Fatal(err)
+				}
+			}
+			epochs := float64(res.Engine.Epochs)
+			b.ReportMetric(epochs, "epochs")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/epochs, "us/epoch")
 		})
 	}
 }

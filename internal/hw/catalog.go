@@ -4,7 +4,10 @@ import "overlapsim/internal/precision"
 
 // The catalog entries below reproduce Table I of the paper plus the
 // additional datasheet numbers (memory bandwidth, SM counts, clocks) and
-// the calibrated contention/power coefficients documented in EXPERIMENTS.md.
+// contention/power coefficients. Those coefficients are checked against
+// the paper's takeaways in internal/core/takeaways_test.go and can be
+// re-fitted from measured profiles (internal/calib; walkthrough in
+// examples/calibration/README.md).
 
 // A100 is the NVIDIA A100-SXM4-40GB.
 func A100() *GPUSpec {

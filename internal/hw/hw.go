@@ -8,8 +8,10 @@
 //
 // Peak-rate and capacity numbers of the built-ins come from vendor
 // datasheets (the same sources as the paper's Table I); contention and
-// power-component coefficients are calibration parameters whose values are
-// justified against the paper's measurements in EXPERIMENTS.md.
+// power-component coefficients are calibration parameters. The paper's
+// takeaways they must reproduce are asserted in
+// internal/core/takeaways_test.go, and internal/calib re-fits them from
+// measured profiles (see examples/calibration/README.md).
 package hw
 
 import (

@@ -218,3 +218,43 @@ func TestQuickGEMMLinearity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPreparedCostBitIdentical pins the prepared cost to the definition
+// it replaces: a fused descriptor's time is its parts' times added in
+// fusion order, bit for bit, whether its repeated parts are stored once
+// (a layer stack) or it has too many distinct parts to deduplicate. A
+// descriptor prepared for one GPU and rated on another falls back to
+// that GPU's constants.
+func TestPreparedCostBitIdentical(t *testing.T) {
+	layer := []Desc{
+		GEMM("qkv", 2048, 6144, 2048, 1, precision.FP16, precision.Matrix),
+		Norm("ln", 4e6, precision.FP16),
+		Elementwise("gelu", 8e6, 8, 0, precision.FP16),
+		GEMM("fp32", 512, 512, 512, 1, precision.FP32, precision.Matrix), // no FP32 matrix peak on some GPUs
+	}
+	var stack, varied []Desc
+	for l := 0; l < 6; l++ {
+		stack = append(stack, layer...)
+	}
+	for i := 0; i < maxDistinctParts+8; i++ {
+		varied = append(varied, GEMM("g", float64(64+i), 128, 256, 1, precision.BF16, precision.Matrix))
+	}
+	contention := [][4]float64{{1, 0, 0, 0}, {0.63, 24, 3e11, 0.3}, {0, 200, 5e12, 0.99}}
+	for _, g := range []*hw.GPUSpec{hw.H100(), hw.MI250()} {
+		for name, parts := range map[string][]Desc{"stack": stack, "varied": varied} {
+			fused := Fuse(name, parts...)
+			for _, prepared := range []Desc{Prepare(fused, g), Prepare(fused, hw.A100())} {
+				for _, c := range contention {
+					want := 0.0
+					for _, p := range parts {
+						want += p.CostOn(g).Time(c[0], c[1], c[2], c[3])
+					}
+					got := prepared.CostOn(g).Time(c[0], c[1], c[2], c[3])
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s on %s %v: time %v, sum of parts %v", name, g.Name, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}
