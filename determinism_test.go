@@ -24,8 +24,9 @@ import (
 )
 
 // The golden differential test pins the engine's numerical output: it
-// hashes every task's (name, start, end) across the paper's main grid
-// plus a 4-node × 8-GPU FSDP run, and compares the digests against
+// hashes every task's (name, start, end) across the paper's main grid,
+// the builder paths that grid misses (goldenPaths) and a 4-node × 8-GPU
+// FSDP run, and compares the digests against
 // testdata/engine_golden.json. Any scheduling or floating-point change —
 // however small — flips a digest, so engine refactors must reproduce the
 // committed digests bit for bit. Regenerate deliberately with
@@ -59,8 +60,48 @@ func goldenMultiNode() core.Config {
 	}
 }
 
+// goldenPaths covers the builder paths the paper grid does not reach:
+// FSDP gradient accumulation, DDP and TP on one and two nodes (TP with
+// several data-parallel groups, so the cross-group all-reduce runs), and
+// the single-sample pipeline microbatch.
+func goldenPaths() []core.Config {
+	base := func(sys hw.System, par core.Parallelism) core.Config {
+		return core.Config{
+			System:      sys,
+			Model:       model.GPT3XL(),
+			Parallelism: par,
+			Batch:       8,
+			Format:      precision.FP16,
+			MatrixUnits: true,
+		}
+	}
+	h100x8 := hw.NewSystem(hw.H100(), 8)
+	h100x4x2 := hw.NewMultiNode(hw.H100(), 4, 2)
+	accum := base(h100x8, "fsdp")
+	accum.Batch = 16
+	accum.GradAccumSteps = 2
+	tp2 := base(h100x8, "tp")
+	tp2.TPDegree = 2
+	mb1 := base(hw.SystemMI250x4(), "pp")
+	mb1.MicroBatch = 1
+	return []core.Config{accum, base(h100x4x2, "ddp"), tp2, base(h100x4x2, "tp"), mb1}
+}
+
 func goldenConfigs() []core.Config {
-	return append(workload.MainGrid(), goldenMultiNode())
+	return append(append(workload.MainGrid(), goldenPaths()...), goldenMultiNode())
+}
+
+// goldenLabel keys a config in the golden file: its Label plus the
+// knobs Label omits, so the added paths do not collide with grid points.
+func goldenLabel(cfg core.Config) string {
+	s := cfg.Label()
+	if cfg.GradAccumSteps > 1 {
+		s += fmt.Sprintf(" accum=%d", cfg.GradAccumSteps)
+	}
+	if cfg.MicroBatch > 0 {
+		s += fmt.Sprintf(" mb=%d", cfg.MicroBatch)
+	}
+	return s
 }
 
 // digestConfig runs both execution modes of one config and hashes every
@@ -110,7 +151,7 @@ func digestConfigs(t *testing.T, cfgs []core.Config) []goldenEntry {
 			defer wg.Done()
 			for i := range idx {
 				d, err := digestConfig(cfgs[i])
-				entries[i] = goldenEntry{Label: cfgs[i].Label(), Digest: d}
+				entries[i] = goldenEntry{Label: goldenLabel(cfgs[i]), Digest: d}
 				errs[i] = err
 			}
 		}()
@@ -141,7 +182,7 @@ func TestGoldenEngineDigests(t *testing.T) {
 		for i := 0; i < len(cfgs); i += 16 {
 			sub = append(sub, cfgs[i])
 		}
-		if last := cfgs[len(cfgs)-1]; len(sub) == 0 || sub[len(sub)-1].Label() != last.Label() {
+		if last := cfgs[len(cfgs)-1]; len(sub) == 0 || goldenLabel(sub[len(sub)-1]) != goldenLabel(last) {
 			sub = append(sub, last)
 		}
 		cfgs = sub
