@@ -176,19 +176,15 @@ func NewPreparer(f topo.Fabric) *Preparer {
 	return &Preparer{fabric: f, m: make(map[prepSig][]prepEntry)}
 }
 
-// Prepare is Prepare(d, fabric) with memoization. Gated descriptors are
-// never cached (a gate is runtime identity, not shape); set Gate after
-// preparing, as the builders do.
+// Prepare is Prepare(d, fabric) with memoization. A gate is runtime
+// identity, not shape: the memo ignores it and the result carries d's.
 func (p *Preparer) Prepare(d Desc) (Desc, float64) {
-	if d.Gate != nil {
-		return Prepare(d, p.fabric)
-	}
 	sig := prepSig{op: d.Op, bytes: math.Float64bits(d.Bytes),
 		n: d.N, src: d.Src, dst: d.Dst, nRank: len(d.Ranks), nGrp: len(d.Group)}
 	for _, e := range p.m[sig] {
 		if intsEqual(e.ranks, d.Ranks) && intsEqual(e.group, d.Group) {
 			out := e.prepared
-			out.Name = d.Name
+			out.Name, out.Gate = d.Name, d.Gate
 			return out, e.work
 		}
 	}

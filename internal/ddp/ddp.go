@@ -68,96 +68,42 @@ func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 	if err := p.Model.Validate(); err != nil {
 		return nil, err
 	}
-	g := cl.GPU()
 	n := cl.N()
 	if p.Batch%n != 0 {
 		return nil, fmt.Errorf("ddp: global batch %d not divisible by %d GPUs", p.Batch, n)
 	}
 	local := p.Batch / n
-	if !p.SkipMemoryCheck {
-		est := FootprintDDP(p.Model, local, p.Format, p.Checkpoint)
-		if est.Total() > g.MemBytes() {
-			return nil, &model.ErrOOM{
-				Model:     fmt.Sprintf("%s (DDP bs=%d %s)", p.Model.Name, p.Batch, p.Format),
-				GPU:       g.Name,
-				NeedBytes: est.Total(),
-				HaveBytes: g.MemBytes(),
-			}
-		}
+	est := FootprintDDP(p.Model, local, p.Format, p.Checkpoint)
+	if err := p.CheckMemory(cl.GPU(), est, fmt.Sprintf("DDP bs=%d %s", p.Batch, p.Format)); err != nil {
+		return nil, err
 	}
 
-	eng := sim.NewEngine(cl)
-	eng.AddObserver(cl)
-	total := p.Warmup + p.Iterations
 	L := p.Model.Layers
 	// Per iteration: L forward + L backward layers and the head pair of n
 	// computes each, at most L+1 gradient buckets, and the optimizer.
-	estimate := total * (2*L*n + 3*n + L + 2)
-	b := &builder{cfg: p, eng: eng, cl: cl, n: n, local: local,
-		batch: exec.NewBatch(eng, estimate)}
-	b.prepare()
-	plan := &exec.Plan{Engine: eng, Cluster: cl, Warmup: p.Warmup, Symmetry: exec.SymmetryRanks}
-	for it := 0; it < p.Warmup+p.Iterations; it++ {
-		plan.Iterations = append(plan.Iterations, b.buildIteration(it))
+	estimate := (p.Warmup + p.Iterations) * (2*L*n + 3*n + L + 2)
+	b := &builder{Builder: exec.NewBuilder(cl, p.Mode, estimate), cfg: p, n: n, local: local}
+	if !b.Sequential() {
+		b.commS = b.Eng.NewStream("comm.allreduce", 0)
 	}
-	return plan, nil
+	return b.Plan(p.Warmup, p.Iterations, b.buildIteration), nil
 }
 
 type builder struct {
+	*exec.Builder
 	cfg   strategy.Params
-	eng   *sim.Engine
-	cl    *gpu.Cluster
-	batch *exec.Batch
 	n     int
 	local int
 
-	computeS []*sim.Stream
-	commS    *sim.Stream
-	chain    *exec.Chain
-	prep     *collective.Preparer
-
-	prevIterEnd []*sim.Task
-}
-
-func (b *builder) sequential() bool { return b.cfg.Mode == exec.Sequential }
-
-func (b *builder) prepare() {
-	for d := 0; d < b.n; d++ {
-		b.computeS = append(b.computeS, b.eng.NewStream(fmt.Sprintf("compute%d", d), d))
-	}
-	if b.sequential() {
-		b.chain = exec.NewChain()
-	} else {
-		b.commS = b.eng.NewStream("comm.allreduce", 0)
-	}
-	b.prevIterEnd = make([]*sim.Task, b.n)
-}
-
-func (b *builder) allDevices() []int {
-	devs := make([]int, b.n)
-	for i := range devs {
-		devs[i] = i
-	}
-	return devs
+	commS *sim.Stream
 }
 
 func (b *builder) newCompute(name string, op exec.Op) []*sim.Task {
-	return b.batch.Compute(name, op, b.computeS, b.chain)
+	return b.Compute(name, op, 0, b.n)
 }
 
 func (b *builder) newAllReduce(name string, bytes float64) *sim.Task {
-	cd := collective.Desc{Name: name, Op: collective.AllReduce, Bytes: bytes, N: b.n}
-	if b.prep == nil {
-		b.prep = collective.NewPreparer(b.cl.Fabric())
-	}
-	cd, work := b.prep.Prepare(cd)
-	if b.sequential() {
-		s := b.eng.NewStream("seqcomm."+name, 0)
-		t := b.batch.Task(name, sim.KindComm, work, cd, s)
-		b.chain.Order(t, b.allDevices()...)
-		return t
-	}
-	return b.batch.Task(name, sim.KindComm, work, cd, b.commS)
+	return b.Collective(name, collective.Desc{Op: collective.AllReduce, Bytes: bytes, N: b.n}, b.commS, 0, b.Devices()...)
 }
 
 func after(ts []*sim.Task, deps ...*sim.Task) {
@@ -169,35 +115,23 @@ func after(ts []*sim.Task, deps ...*sim.Task) {
 // buildIteration appends one DDP iteration: full forward, then backward
 // layer by layer with gradient buckets all-reduced as they fill, then the
 // optimizer step gated on the last reduction.
-func (b *builder) buildIteration(it int) []*sim.Task {
+func (b *builder) buildIteration(it int) {
 	m := b.cfg.Model
 	L := m.Layers
 	e := float64(b.cfg.Format.Bytes())
-	start := len(b.eng.Tasks())
 
-	g := b.cl.GPU()
-	fwdOp := exec.KernelOp(kernels.Fuse("fwd.layer", m.ForwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits)...), g)
-	bwdOp := exec.KernelOp(kernels.Fuse("bwd.layer", m.BackwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)...), g)
-	headFOp := exec.KernelOp(kernels.Fuse("fwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, true)...), g)
-	headBOp := exec.KernelOp(kernels.Fuse("bwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)...), g)
-
-	barrier := func(ts []*sim.Task) {
-		for _, t := range ts {
-			for _, p := range b.prevIterEnd {
-				if p != nil {
-					t.After(p)
-				}
-			}
-		}
-	}
+	fwdOp := b.KernelOp(kernels.Fuse("fwd.layer", m.ForwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits)...))
+	bwdOp := b.KernelOp(kernels.Fuse("bwd.layer", m.BackwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)...))
+	headFOp := b.KernelOp(kernels.Fuse("fwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, true)...))
+	headBOp := b.KernelOp(kernels.Fuse("bwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)...))
 
 	// Forward.
 	fwdPrefix := fmt.Sprintf("it%d.fwd.l", it)
 	var prev []*sim.Task
 	for i := 0; i < L; i++ {
-		f := b.newCompute(b.batch.Name(fwdPrefix, i), fwdOp)
+		f := b.newCompute(b.Name(fwdPrefix, i), fwdOp)
 		if i == 0 {
-			barrier(f)
+			after(f, b.Last...)
 		} else {
 			for d, t := range f {
 				t.After(prev[d])
@@ -223,14 +157,14 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	bwdPrefix := fmt.Sprintf("it%d.bwd.l", it)
 	arPrefix := fmt.Sprintf("it%d.ar.bucket", it)
 	for i := L - 1; i >= 0; i-- {
-		bw := b.newCompute(b.batch.Name(bwdPrefix, i), bwdOp)
+		bw := b.newCompute(b.Name(bwdPrefix, i), bwdOp)
 		for d, t := range bw {
 			t.After(prev[d])
 		}
 		prev = bw
 		pending += layerGradBytes
 		if pending >= b.cfg.BucketBytes || i == 0 {
-			ar := b.newAllReduce(b.batch.Name(arPrefix, bucket), pending)
+			ar := b.newAllReduce(b.Name(arPrefix, bucket), pending)
 			after([]*sim.Task{ar}, bw...)
 			reduces = append(reduces, ar)
 			pending = 0
@@ -239,12 +173,10 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	}
 
 	// Optimizer over the full replica.
-	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), exec.KernelOp(m.OptimizerKernel(m.TotalParams()), g))
+	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), b.KernelOp(m.OptimizerKernel(m.TotalParams())))
 	for d, t := range opt {
 		t.After(prev[d])
 		t.After(reduces[len(reduces)-1])
 	}
-	b.prevIterEnd = opt
-
-	return b.eng.Tasks()[start:]
+	b.Last = opt
 }

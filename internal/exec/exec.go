@@ -55,10 +55,6 @@ type Plan struct {
 	// Warmup is the number of leading iterations excluded from
 	// measurement.
 	Warmup int
-	// Symmetry is the builder's rank-symmetry annotation. It only
-	// steers whether the runner probes for collapsible classes; the
-	// collapse itself is gated on structural proof (see symmetry.go).
-	Symmetry Symmetry
 	// NoCollapse disables the symmetry fast path even when detection
 	// would prove it (differential tests, reference benchmarks).
 	NoCollapse bool
@@ -88,9 +84,7 @@ func (p *Plan) RunContext(ctx context.Context) error {
 		return fmt.Errorf("exec: plan already ran")
 	}
 	p.ran = true
-	collapsible := !p.NoCollapse && p.Symmetry != SymmetryNone &&
-		(p.Cluster == nil || p.Cluster.Deterministic())
-	if collapsible {
+	if !p.NoCollapse && (p.Cluster == nil || p.Cluster.Deterministic()) {
 		classes := p.mergeableClasses(p.Engine.DetectClasses(PayloadEq))
 		if ghosts := p.Engine.Collapse(classes); ghosts > 0 {
 			p.classes = classes
@@ -188,12 +182,13 @@ func IterationMeasurement(tasks []*sim.Task) metrics.Iteration {
 }
 
 // iterationMeasurement is IterationMeasurement with an optional
-// device→representative alias map from a collapsed run. With aliases the
-// timeline is built over representative devices only and each ghost
-// device contributes its representative's cached per-device tuple — the
-// same additions in the same device order as the full extraction, since
-// a ghost's intervals are bitwise copies of its representative's. The
-// result is bit-identical either way.
+// device→representative alias map from a collapsed run. The timeline is
+// built over representative devices only, and each device adds its
+// representative's per-device tuple — the same additions in the same
+// device order as the full extraction, since a ghost's intervals are
+// bitwise copies of its representative's. A nil alias means the devices
+// present, each its own representative. The result is bit-identical
+// either way.
 func iterationMeasurement(tasks []*sim.Task, alias []int) metrics.Iteration {
 	var keep func(device int) bool
 	if alias != nil {
@@ -207,35 +202,31 @@ func iterationMeasurement(tasks []*sim.Task, alias []int) metrics.Iteration {
 	if len(devs) == 0 {
 		return it
 	}
+	type overlap struct {
+		computeT, commT, computeOv, commOv float64
+		present                            bool
+	}
+	byDev := make([]overlap, devs[len(devs)-1]+1)
+	for _, d := range devs {
+		o := &byDev[d]
+		o.computeT, o.commT, o.computeOv, o.commOv = tl.DeviceOverlap(d)
+		o.present = true
+	}
+	reps := alias
+	if reps == nil {
+		reps = devs
+	}
 	n := 0.0
-	if alias == nil {
-		for _, d := range devs {
-			computeT, commT, computeOv, commOv := tl.DeviceOverlap(d)
-			it.ComputeKernelTime += computeT
-			it.CommKernelTime += commT
-			it.OverlappedComputeTime += computeOv
-			it.OverlappedCommTime += commOv
+	for _, r := range reps {
+		if r >= len(byDev) || !byDev[r].present {
+			continue // device without intervals in the full timeline either
 		}
-		n = float64(len(devs))
-	} else {
-		type overlap struct{ computeT, commT, computeOv, commOv float64 }
-		cache := make(map[int]overlap, len(devs))
-		for _, d := range devs {
-			var o overlap
-			o.computeT, o.commT, o.computeOv, o.commOv = tl.DeviceOverlap(d)
-			cache[d] = o
-		}
-		for d := 0; d < len(alias); d++ {
-			o, ok := cache[alias[d]]
-			if !ok {
-				continue // device without intervals in the full timeline either
-			}
-			it.ComputeKernelTime += o.computeT
-			it.CommKernelTime += o.commT
-			it.OverlappedComputeTime += o.computeOv
-			it.OverlappedCommTime += o.commOv
-			n++
-		}
+		o := byDev[r]
+		it.ComputeKernelTime += o.computeT
+		it.CommKernelTime += o.commT
+		it.OverlappedComputeTime += o.computeOv
+		it.OverlappedCommTime += o.commOv
+		n++
 	}
 	it.ComputeKernelTime /= n
 	it.CommKernelTime /= n

@@ -8,38 +8,6 @@ import (
 	"overlapsim/internal/sim"
 )
 
-// Symmetry declares what rank symmetry a strategy's plan exposes. It is
-// a hint, never a proof: the runner always verifies structurally via
-// sim.Engine.DetectClasses before collapsing anything, so a wrong
-// annotation can only cost speed, not correctness.
-type Symmetry int
-
-const (
-	// SymmetryAuto probes the plan for symmetry classes — the default,
-	// safe for every plan because detection is structural.
-	SymmetryAuto Symmetry = iota
-	// SymmetryRanks marks plans whose data-parallel ranks execute
-	// identical per-iteration schedules (DDP/FSDP/TP replicas).
-	SymmetryRanks
-	// SymmetryNone marks plans known to be rank-asymmetric (pipeline
-	// stages carry different layers); the runner skips detection.
-	SymmetryNone
-)
-
-// String returns the symmetry name.
-func (s Symmetry) String() string {
-	switch s {
-	case SymmetryAuto:
-		return "auto"
-	case SymmetryRanks:
-		return "ranks"
-	case SymmetryNone:
-		return "none"
-	default:
-		return "symmetry(?)"
-	}
-}
-
 // PayloadEq reports whether two task payloads are equivalent for
 // symmetry detection. It understands the payload types the executors
 // attach (kernel and collective descriptors) and is deliberately

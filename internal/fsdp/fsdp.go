@@ -17,7 +17,6 @@ import (
 	"overlapsim/internal/exec"
 	"overlapsim/internal/gpu"
 	"overlapsim/internal/kernels"
-	"overlapsim/internal/model"
 	"overlapsim/internal/sim"
 	"overlapsim/internal/strategy"
 )
@@ -65,124 +64,62 @@ func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 	if err := p.Model.Validate(); err != nil {
 		return nil, err
 	}
-	g := cl.GPU()
 	n := cl.N()
+	if n < 2 {
+		return nil, fmt.Errorf("fsdp: sharding needs at least 2 GPUs, have %d", n)
+	}
 	if p.Batch%n != 0 {
 		return nil, fmt.Errorf("fsdp: global batch %d not divisible by %d GPUs", p.Batch, n)
 	}
 	local := p.Batch / n
-	if !p.SkipMemoryCheck {
-		est := p.Model.FootprintFSDP(local, n, p.Format, p.Checkpoint)
-		if est.Total() > g.MemBytes() {
-			return nil, &model.ErrOOM{
-				Model:     fmt.Sprintf("%s (FSDP bs=%d %s)", p.Model.Name, p.Batch, p.Format),
-				GPU:       g.Name,
-				NeedBytes: est.Total(),
-				HaveBytes: g.MemBytes(),
-			}
-		}
+	est := p.Model.FootprintFSDP(local, n, p.Format, p.Checkpoint)
+	if err := p.CheckMemory(cl.GPU(), est, fmt.Sprintf("FSDP bs=%d %s", p.Batch, p.Format)); err != nil {
+		return nil, err
 	}
 
-	eng := sim.NewEngine(cl)
-	eng.AddObserver(cl)
-
-	total := p.Warmup + p.Iterations
 	L := p.Model.Layers
 	accum := p.GradAccumSteps
 	// Per iteration: accum × (embed gather+compute, L forward and L
 	// backward layers of one gather + n computes, head fwd/bwd), plus the
 	// final step's L+1 reduce-scatters and the optimizer — sized so slab
 	// allocation covers the whole plan in one reservation.
-	estimate := total * (accum*(2*L*(n+1)+3*n+2) + L + 2 + n)
-
-	b := &builder{cfg: p, eng: eng, cl: cl, n: n, local: local,
-		batch: exec.NewBatch(eng, estimate)}
-	b.makeStreams()
-	plan := &exec.Plan{Engine: eng, Cluster: cl, Warmup: p.Warmup, Symmetry: exec.SymmetryRanks}
-	for it := 0; it < total; it++ {
-		plan.Iterations = append(plan.Iterations, b.buildIteration(it))
-	}
-	return plan, nil
-}
-
-// builder holds the incremental graph-construction state.
-type builder struct {
-	cfg   strategy.Params
-	eng   *sim.Engine
-	cl    *gpu.Cluster
-	batch *exec.Batch
-	n     int
-	local int // per-GPU batch
-
-	computeS []*sim.Stream
-	agS      *sim.Stream // all-gather stream (parameter prefetch)
-	rsS      *sim.Stream // reduce-scatter stream (gradient sync)
-	chain    *exec.Chain
-	prep     *collective.Preparer
-
-	// prevIterEnd holds the last task per device of the previous
-	// iteration (the optimizer step) used as the iteration barrier.
-	prevIterEnd []*sim.Task
-}
-
-func (b *builder) sequential() bool { return b.cfg.Mode == exec.Sequential }
-
-func (b *builder) makeStreams() {
-	for d := 0; d < b.n; d++ {
-		b.computeS = append(b.computeS, b.eng.NewStream(fmt.Sprintf("compute%d", d), d))
-	}
-	if b.sequential() {
-		b.chain = exec.NewChain()
-	} else {
+	estimate := (p.Warmup + p.Iterations) * (accum*(2*L*(n+1)+3*n+2) + L + 2 + n)
+	b := &builder{Builder: exec.NewBuilder(cl, p.Mode, estimate), cfg: p, n: n, local: local}
+	if !b.Sequential() {
 		// Two communicator streams, as in PyTorch FSDP/DeepSpeed: one
 		// serializes the parameter all-gathers (prefetch), the other the
 		// gradient reduce-scatters, so backward gathers are not stalled
 		// behind pending reductions.
-		b.agS = b.eng.NewStream("comm.allgather", 0)
-		b.rsS = b.eng.NewStream("comm.reducescatter", 0)
+		b.agS = b.Eng.NewStream("comm.allgather", 0)
+		b.rsS = b.Eng.NewStream("comm.reducescatter", 0)
 	}
-	b.prevIterEnd = make([]*sim.Task, b.n)
+	return b.Plan(p.Warmup, p.Iterations, b.buildIteration), nil
 }
 
-func (b *builder) allDevices() []int {
-	devs := make([]int, b.n)
-	for i := range devs {
-		devs[i] = i
-	}
-	return devs
+// builder holds the incremental graph-construction state.
+type builder struct {
+	*exec.Builder
+	cfg   strategy.Params
+	n     int
+	local int // per-GPU batch
+
+	agS *sim.Stream // all-gather stream (parameter prefetch)
+	rsS *sim.Stream // reduce-scatter stream (gradient sync)
 }
 
-// newCollective creates a collective task across all ranks, with the
-// fabric-dependent rate constants prepared at construction time.
+// newCollective creates a collective task across all ranks.
 func (b *builder) newCollective(name string, op collective.Op, bytes float64) *sim.Task {
-	cd := collective.Desc{Name: name, Op: op, Bytes: bytes, N: b.n}
-	if err := cd.Validate(); err != nil {
-		//overlaplint:allow nopanic builder invariant: the descriptor is derived from an already-validated config, so Validate failing here is a bug
-		panic(err)
+	s := b.agS
+	if op == collective.ReduceScatter {
+		s = b.rsS
 	}
-	if b.prep == nil {
-		b.prep = collective.NewPreparer(b.cl.Fabric())
-	}
-	cd, work := b.prep.Prepare(cd)
-	var t *sim.Task
-	if b.sequential() {
-		s := b.eng.NewStream("seqcomm."+name, 0)
-		t = b.batch.Task(name, sim.KindComm, work, cd, s)
-		b.chain.Order(t, b.allDevices()...)
-	} else {
-		s := b.agS
-		if op == collective.ReduceScatter {
-			s = b.rsS
-		}
-		t = b.batch.Task(name, sim.KindComm, work, cd, s)
-	}
-	return t
+	return b.Collective(name, collective.Desc{Op: op, Bytes: bytes, N: b.n}, s, 0, b.Devices()...)
 }
 
 // newCompute creates one compute task per device from the pre-boxed
 // fused kernel op (identical work on every rank under data parallelism).
 func (b *builder) newCompute(name string, op exec.Op) []*sim.Task {
-	return b.batch.Compute(name, op, b.computeS, b.chain)
+	return b.Compute(name, op, 0, b.n)
 }
 
 func after(ts []*sim.Task, deps ...*sim.Task) {
@@ -196,7 +133,7 @@ func after(ts []*sim.Task, deps ...*sim.Task) {
 // per micro-step; gradient reduce-scatters happen only on the final step
 // (DDP-style no_sync), which is what dilutes communication relative to
 // compute.
-func (b *builder) buildIteration(it int) []*sim.Task {
+func (b *builder) buildIteration(it int) {
 	m := b.cfg.Model
 	L := m.Layers
 	e := float64(b.cfg.Format.Bytes())
@@ -205,24 +142,13 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	pref := b.cfg.PrefetchDepth
 	accum := b.cfg.GradAccumSteps
 
-	start := len(b.eng.Tasks())
-
 	fwdDesc := kernels.Fuse("fwd.layer", m.ForwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits)...)
 	bwdDesc := kernels.Fuse("bwd.layer", m.BackwardLayerKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)...)
 	headFwd := kernels.Fuse("fwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, true)...)
 	headBwd := kernels.Fuse("bwd.head", m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)...)
-	g := b.cl.GPU()
-	fwdOp, bwdOp := exec.KernelOp(fwdDesc, g), exec.KernelOp(bwdDesc, g)
-	embedOp, logitsOp := exec.KernelOp(headFwdEmbedOnly(headFwd), g), exec.KernelOp(headFwdLogitsOnly(headFwd), g)
-	headBwdOp := exec.KernelOp(headBwd, g)
-
-	iterBarrier := func(t *sim.Task) {
-		for _, p := range b.prevIterEnd {
-			if p != nil {
-				t.After(p)
-			}
-		}
-	}
+	fwdOp, bwdOp := b.KernelOp(fwdDesc), b.KernelOp(bwdDesc)
+	embedOp, logitsOp := b.KernelOp(headFwdEmbedOnly(headFwd)), b.KernelOp(headFwdLogitsOnly(headFwd))
+	headBwdOp := b.KernelOp(headBwd)
 
 	var lastRS, rsEmbed *sim.Task
 	var prevStepB []*sim.Task
@@ -235,10 +161,8 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 		embedF := b.newCompute(tag+".fwd.embed", embedOp)
 		after(embedF, agEmbed)
 		if step == 0 {
-			iterBarrier(agEmbed)
-			for _, t := range embedF {
-				iterBarrier(t)
-			}
+			agEmbed.After(b.Last...)
+			after(embedF, b.Last...)
 		} else {
 			for d, t := range embedF {
 				t.After(prevStepB[d])
@@ -249,13 +173,13 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 		agF := make([]*sim.Task, L)
 		fF := make([][]*sim.Task, L)
 		for i := 0; i < L; i++ {
-			agF[i] = b.newCollective(b.batch.Name(agFwdPrefix, i), collective.AllGather, layerBytes)
-			if !b.sequential() && i >= pref {
+			agF[i] = b.newCollective(b.Name(agFwdPrefix, i), collective.AllGather, layerBytes)
+			if !b.Sequential() && i >= pref {
 				// Bound prefetch: gather of layer i waits for compute of
 				// layer i-pref.
 				after([]*sim.Task{agF[i]}, fF[i-pref]...)
 			}
-			fF[i] = b.newCompute(b.batch.Name(fwdPrefix, i), fwdOp)
+			fF[i] = b.newCompute(b.Name(fwdPrefix, i), fwdOp)
 			after(fF[i], agF[i])
 			if i == 0 {
 				for d, t := range fF[i] {
@@ -287,11 +211,11 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 		agB := make([]*sim.Task, L)
 		fB := make([][]*sim.Task, L)
 		for i := L - 1; i >= 0; i-- {
-			agB[i] = b.newCollective(b.batch.Name(agBwdPrefix, i), collective.AllGather, layerBytes)
-			if !b.sequential() && i <= L-1-pref {
+			agB[i] = b.newCollective(b.Name(agBwdPrefix, i), collective.AllGather, layerBytes)
+			if !b.Sequential() && i <= L-1-pref {
 				after([]*sim.Task{agB[i]}, fB[i+pref]...)
 			}
-			fB[i] = b.newCompute(b.batch.Name(bwdPrefix, i), bwdOp)
+			fB[i] = b.newCompute(b.Name(bwdPrefix, i), bwdOp)
 			after(fB[i], agB[i])
 			if i == L-1 {
 				for d, t := range fB[i] {
@@ -303,7 +227,7 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 				}
 			}
 			if lastStep {
-				rs := b.newCollective(b.batch.Name(rsPrefix, i), collective.ReduceScatter, layerBytes)
+				rs := b.newCollective(b.Name(rsPrefix, i), collective.ReduceScatter, layerBytes)
 				after([]*sim.Task{rs}, fB[i]...)
 				lastRS = rs
 			}
@@ -313,13 +237,11 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 
 	// Optimizer step over the local shard.
 	shard := m.TotalParams() / float64(b.n)
-	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), exec.KernelOp(m.OptimizerKernel(shard), g))
+	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), b.KernelOp(m.OptimizerKernel(shard)))
 	for d, t := range opt {
 		t.After(lastRS, rsEmbed, prevStepB[d])
 	}
-	b.prevIterEnd = opt
-
-	return b.eng.Tasks()[start:]
+	b.Last = opt
 }
 
 // headFwdEmbedOnly and headFwdLogitsOnly split the fused head descriptor

@@ -316,8 +316,8 @@ func (p *partCost) time(smFrac, freq, issue, availMem float64) float64 {
 // split and peaks — so the device model evaluates a handful of
 // multiplications per part on every epoch instead of re-deriving them
 // through map lookups. Strategy builders prepare each fused descriptor
-// once per plan (exec.KernelOp) and fan it out to every task, so the
-// constants are shared, not copied.
+// once per plan (exec.Builder.KernelOp) and fan it out to every task, so
+// the constants are shared, not copied.
 //
 // The cache binds the descriptor to g: a prepared Desc is only rated
 // from its cache against the GPUSpec it was prepared for, and any other

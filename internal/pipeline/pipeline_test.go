@@ -28,14 +28,14 @@ func cluster(t *testing.T, g *hw.GPUSpec, n int) *gpu.Cluster {
 	return cl
 }
 
-func build(t *testing.T, mode exec.Mode, sched Schedule, batch int) *exec.Plan {
+func build(t *testing.T, mode exec.Mode, batch int) *exec.Plan {
 	t.Helper()
 	cl := cluster(t, hw.A100(), 4)
-	plan, err := BuildSchedule(cl, strategy.Params{
+	plan, err := Build(cl, strategy.Params{
 		Model: tinyModel(), Batch: batch, MicroBatch: 2, Format: precision.FP16,
 		MatrixUnits: true, Checkpoint: true,
 		Iterations: 2, Warmup: 1, Mode: mode,
-	}, sched)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func measured(t *testing.T, plan *exec.Plan) []metrics.Iteration {
 func TestStageScheduleOneFOneB(t *testing.T) {
 	n, m := 4, 6
 	for s := 0; s < n; s++ {
-		ops := stageSchedule(OneFOneB, s, n, m)
+		ops := stageSchedule(false, s, n, m)
 		if len(ops) != 2*m {
 			t.Fatalf("stage %d: %d ops, want %d", s, len(ops), 2*m)
 		}
@@ -98,7 +98,7 @@ func TestStageScheduleOneFOneB(t *testing.T) {
 }
 
 func TestStageScheduleGPipe(t *testing.T) {
-	ops := stageSchedule(GPipe, 1, 4, 3)
+	ops := stageSchedule(true, 1, 4, 3)
 	for i, o := range ops {
 		if (i < 3) != o.fwd {
 			t.Fatalf("GPipe order wrong at %d: %+v", i, o)
@@ -108,7 +108,7 @@ func TestStageScheduleGPipe(t *testing.T) {
 
 func TestStageScheduleFewMicrobatches(t *testing.T) {
 	// M smaller than the warmup depth must still emit every op once.
-	ops := stageSchedule(OneFOneB, 0, 8, 2)
+	ops := stageSchedule(false, 0, 8, 2)
 	if len(ops) != 4 {
 		t.Fatalf("%d ops, want 4", len(ops))
 	}
@@ -130,7 +130,7 @@ func TestSplitLayers(t *testing.T) {
 }
 
 func TestOverlappedRuns(t *testing.T) {
-	plan := build(t, exec.Overlapped, OneFOneB, 8)
+	plan := build(t, exec.Overlapped, 8)
 	its := measured(t, plan)
 	if len(its) != 2 {
 		t.Fatalf("measured %d iterations", len(its))
@@ -147,7 +147,7 @@ func TestOverlappedRuns(t *testing.T) {
 func TestSequentialBlockingGPipeCompletes(t *testing.T) {
 	// The blocking wavefront must be deadlock-free for several shapes.
 	for _, batch := range []int{4, 8, 16} {
-		plan := build(t, exec.Sequential, OneFOneB, batch)
+		plan := build(t, exec.Sequential, batch)
 		for _, it := range measured(t, plan) {
 			if ratio := it.OverlapRatio(); ratio > 0.01 {
 				t.Errorf("batch %d: sequential overlap ratio %g", batch, ratio)
@@ -156,16 +156,9 @@ func TestSequentialBlockingGPipeCompletes(t *testing.T) {
 	}
 }
 
-func TestGPipeOverlappedCompletes(t *testing.T) {
-	plan := build(t, exec.Overlapped, GPipe, 8)
-	if len(measured(t, plan)) != 2 {
-		t.Fatal("GPipe overlapped did not measure")
-	}
-}
-
 func TestSequentialSlower(t *testing.T) {
-	seq := measured(t, build(t, exec.Sequential, OneFOneB, 8))[0]
-	ovl := measured(t, build(t, exec.Overlapped, OneFOneB, 8))[0]
+	seq := measured(t, build(t, exec.Sequential, 8))[0]
+	ovl := measured(t, build(t, exec.Overlapped, 8))[0]
 	if seq.E2E <= ovl.E2E {
 		t.Errorf("sequential %g not slower than overlapped %g", seq.E2E, ovl.E2E)
 	}
@@ -202,8 +195,8 @@ func TestOOMGate(t *testing.T) {
 }
 
 func TestMoreMicrobatchesLongerIteration(t *testing.T) {
-	small := measured(t, build(t, exec.Overlapped, OneFOneB, 4))[0]
-	big := measured(t, build(t, exec.Overlapped, OneFOneB, 16))[0]
+	small := measured(t, build(t, exec.Overlapped, 4))[0]
+	big := measured(t, build(t, exec.Overlapped, 16))[0]
 	if big.E2E <= small.E2E {
 		t.Errorf("batch 16 iteration %g not longer than batch 4 %g", big.E2E, small.E2E)
 	}
@@ -219,8 +212,8 @@ func TestQuickScheduleComplete(t *testing.T) {
 		n := int(nRaw%7) + 2
 		s := int(sRaw) % n
 		m := int(mRaw%12) + 1
-		for _, sched := range []Schedule{OneFOneB, GPipe} {
-			ops := stageSchedule(sched, s, n, m)
+		for _, gpipe := range []bool{false, true} {
+			ops := stageSchedule(gpipe, s, n, m)
 			if len(ops) != 2*m {
 				return false
 			}

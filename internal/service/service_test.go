@@ -210,6 +210,35 @@ func TestExperimentEndpointRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestExperimentInvalidShapeKeepsServing pins that a strategy rejecting
+// the cluster shape — FSDP shards over at least two GPUs — answers with
+// an error instead of taking the daemon down, and that the server keeps
+// serving: DDP on the same single GPU still runs, with no communication.
+func TestExperimentInvalidShapeKeepsServing(t *testing.T) {
+	_, ts := newTestServer(t)
+	post := func(req string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	bad := decode[errorBody](t, post(`{"gpu":"H100","gpu_count":1,"model":"GPT-3 XL","batch":2}`),
+		http.StatusInternalServerError)
+	if !strings.Contains(bad.Error, "fsdp") {
+		t.Errorf("error %q does not name the strategy", bad.Error)
+	}
+	body := decode[experimentBody](t, post(`{"gpu":"H100","gpu_count":1,"model":"GPT-3 XL","parallelism":"ddp","batch":2}`),
+		http.StatusOK)
+	if body.Point.Res == nil || body.Point.Res.Overlapped.Mean.E2E <= 0 {
+		t.Fatalf("one-GPU DDP returned no result: %+v", body.Point)
+	}
+	if c := body.Point.Res.Overlapped.Mean.CommKernelTime; c != 0 {
+		t.Errorf("one-GPU DDP communication time %g, want 0", c)
+	}
+}
+
 // waitForJob polls the job endpoint until the sweep leaves the running
 // state.
 func waitForJob(t *testing.T, ts *httptest.Server, id string) jobBody {

@@ -24,6 +24,7 @@ import (
 
 	"overlapsim/internal/exec"
 	"overlapsim/internal/gpu"
+	"overlapsim/internal/hw"
 	"overlapsim/internal/model"
 	"overlapsim/internal/precision"
 )
@@ -88,6 +89,22 @@ func (p Params) WithCommonDefaults() Params {
 		p.Batch = 8
 	}
 	return p
+}
+
+// CheckMemory is the HBM-capacity feasibility gate every strategy
+// applies to its per-GPU footprint estimate: it returns a model.ErrOOM
+// naming "<model> (<label>)" when the estimate exceeds the GPU's memory,
+// and nil when it fits or SkipMemoryCheck is set.
+func (p Params) CheckMemory(g *hw.GPUSpec, est model.MemoryEstimate, label string) error {
+	if p.SkipMemoryCheck || est.Total() <= g.MemBytes() {
+		return nil
+	}
+	return &model.ErrOOM{
+		Model:     fmt.Sprintf("%s (%s)", p.Model.Name, label),
+		GPU:       g.Name,
+		NeedBytes: est.Total(),
+		HaveBytes: g.MemBytes(),
+	}
 }
 
 // Info describes a strategy for catalogs, CLIs and canonicalization.

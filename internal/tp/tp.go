@@ -29,7 +29,6 @@ import (
 	"overlapsim/internal/exec"
 	"overlapsim/internal/gpu"
 	"overlapsim/internal/kernels"
-	"overlapsim/internal/model"
 	"overlapsim/internal/sim"
 	"overlapsim/internal/strategy"
 )
@@ -100,110 +99,52 @@ func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 		return nil, fmt.Errorf("tp: batch %d not divisible by %d data-parallel groups", p.Batch, groups)
 	}
 	local := p.Batch / groups // per-group batch, sharded 1/d inside the group
-	g := cl.GPU()
-	if !p.SkipMemoryCheck {
-		est := p.Model.FootprintTP(local, d, p.Format, p.Checkpoint)
-		if est.Total() > g.MemBytes() {
-			return nil, &model.ErrOOM{
-				Model:     fmt.Sprintf("%s (TP d=%d bs=%d %s)", p.Model.Name, d, p.Batch, p.Format),
-				GPU:       g.Name,
-				NeedBytes: est.Total(),
-				HaveBytes: g.MemBytes(),
-			}
-		}
+	est := p.Model.FootprintTP(local, d, p.Format, p.Checkpoint)
+	if err := p.CheckMemory(cl.GPU(), est, fmt.Sprintf("TP d=%d bs=%d %s", d, p.Batch, p.Format)); err != nil {
+		return nil, err
 	}
 
-	eng := sim.NewEngine(cl)
-	eng.AddObserver(cl)
-	total := p.Warmup + p.Iterations
 	L := p.Model.Layers
 	// Per iteration: per group, L forward layers of 2 collectives + 2×d
 	// computes, the head block, L backward layers of 2 collectives + 2×d
 	// computes, plus cross-group reductions and the optimizer.
-	estimate := total * (groups*(L*(4+4*d)+6+4*d) + L + 2)
-	b := &builder{cfg: p, eng: eng, cl: cl, n: n, d: d, groups: groups, local: local,
-		batch: exec.NewBatch(eng, estimate)}
-	b.prepare()
-	plan := &exec.Plan{Engine: eng, Cluster: cl, Warmup: p.Warmup, Symmetry: exec.SymmetryRanks}
-	for it := 0; it < p.Warmup+p.Iterations; it++ {
-		plan.Iterations = append(plan.Iterations, b.buildIteration(it))
+	estimate := (p.Warmup + p.Iterations) * (groups*(L*(4+4*d)+6+4*d) + L + 2)
+	b := &builder{Builder: exec.NewBuilder(cl, p.Mode, estimate), cfg: p, d: d, groups: groups, local: local}
+	b.tpS = make([]*sim.Stream, groups)
+	if !b.Sequential() {
+		for gr := range b.tpS {
+			b.tpS[gr] = b.Eng.NewStream(fmt.Sprintf("comm.tp.%d", gr), gr*d)
+		}
+		if groups > 1 {
+			b.dpS = b.Eng.NewStream("comm.dp", 0)
+		}
 	}
-	return plan, nil
+	return b.Plan(p.Warmup, p.Iterations, b.buildIteration), nil
 }
 
 type builder struct {
+	*exec.Builder
 	cfg    strategy.Params
-	eng    *sim.Engine
-	cl     *gpu.Cluster
-	batch  *exec.Batch
-	n      int
 	d      int // tensor-parallel degree (GPUs per group)
 	groups int // data-parallel group count (n/d)
 	local  int // per-group batch
 
-	computeS []*sim.Stream
-	tpS      []*sim.Stream // per-group tensor-parallel collective stream
-	dpS      *sim.Stream   // cross-group gradient all-reduce stream
-	chain    *exec.Chain
-	prep     *collective.Preparer
-
-	prevIterEnd []*sim.Task
+	// Overlapped-mode communication streams (nil in sequential mode).
+	tpS []*sim.Stream // per-group tensor-parallel collective stream
+	dpS *sim.Stream   // cross-group gradient all-reduce stream
 }
 
-func (b *builder) sequential() bool { return b.cfg.Mode == exec.Sequential }
-
-func (b *builder) prepare() {
-	for dev := 0; dev < b.n; dev++ {
-		b.computeS = append(b.computeS, b.eng.NewStream(fmt.Sprintf("compute%d", dev), dev))
-	}
-	if b.sequential() {
-		b.chain = exec.NewChain()
-	} else {
-		for gr := 0; gr < b.groups; gr++ {
-			b.tpS = append(b.tpS, b.eng.NewStream(fmt.Sprintf("comm.tp.%d", gr), gr*b.d))
-		}
-		if b.groups > 1 {
-			b.dpS = b.eng.NewStream("comm.dp", 0)
-		}
-	}
-	b.prevIterEnd = make([]*sim.Task, b.n)
-}
-
-// ranks returns the device indices of tensor-parallel group gr.
+// ranks returns the device indices of tensor-parallel group gr (shared,
+// read-only).
 func (b *builder) ranks(gr int) []int {
-	out := make([]int, b.d)
-	for i := range out {
-		out[i] = gr*b.d + i
-	}
-	return out
-}
-
-func (b *builder) allDevices() []int {
-	devs := make([]int, b.n)
-	for i := range devs {
-		devs[i] = i
-	}
-	return devs
+	lo, hi := gr*b.d, (gr+1)*b.d
+	return b.Devices()[lo:hi:hi]
 }
 
 // newGroupColl creates one collective over tensor-parallel group gr.
 func (b *builder) newGroupColl(name string, gr int, op collective.Op, bytes float64) *sim.Task {
-	cd := collective.Desc{Name: name, Op: op, Bytes: bytes, N: b.d, Ranks: b.ranks(gr)}
-	if err := cd.Validate(); err != nil {
-		//overlaplint:allow nopanic builder invariant: the descriptor is derived from an already-validated config, so Validate failing here is a bug
-		panic(err)
-	}
-	if b.prep == nil {
-		b.prep = collective.NewPreparer(b.cl.Fabric())
-	}
-	cd, work := b.prep.Prepare(cd)
-	if b.sequential() {
-		s := b.eng.NewStream("seqcomm."+name, gr*b.d)
-		t := b.batch.Task(name, sim.KindComm, work, cd, s)
-		b.chain.Order(t, b.ranks(gr)...)
-		return t
-	}
-	return b.batch.Task(name, sim.KindComm, work, cd, b.tpS[gr])
+	cd := collective.Desc{Op: op, Bytes: bytes, N: b.d, Ranks: b.ranks(gr)}
+	return b.Collective(name, cd, b.tpS[gr], gr*b.d, b.ranks(gr)...)
 }
 
 // newDPAllReduce creates the cross-group gradient all-reduce: every rank
@@ -217,27 +158,13 @@ func (b *builder) newDPAllReduce(name string, bytes float64) *sim.Task {
 	for i := range group {
 		group[i] = i * b.d
 	}
-	cd := collective.Desc{Name: name, Op: collective.AllReduce, Bytes: bytes, N: b.groups, Ranks: b.allDevices(), Group: group}
-	if err := cd.Validate(); err != nil {
-		//overlaplint:allow nopanic builder invariant: the descriptor is derived from an already-validated config, so Validate failing here is a bug
-		panic(err)
-	}
-	if b.prep == nil {
-		b.prep = collective.NewPreparer(b.cl.Fabric())
-	}
-	cd, work := b.prep.Prepare(cd)
-	if b.sequential() {
-		s := b.eng.NewStream("seqcomm."+name, 0)
-		t := b.batch.Task(name, sim.KindComm, work, cd, s)
-		b.chain.Order(t, b.allDevices()...)
-		return t
-	}
-	return b.batch.Task(name, sim.KindComm, work, cd, b.dpS)
+	cd := collective.Desc{Op: collective.AllReduce, Bytes: bytes, N: b.groups, Ranks: b.Devices(), Group: group}
+	return b.Collective(name, cd, b.dpS, 0, b.Devices()...)
 }
 
 // newGroupCompute creates one compute task per device of group gr.
 func (b *builder) newGroupCompute(name string, gr int, op exec.Op) []*sim.Task {
-	return b.batch.Compute(name, op, b.computeS[gr*b.d:(gr+1)*b.d], b.chain)
+	return b.Compute(name, op, gr*b.d, (gr+1)*b.d)
 }
 
 func after(ts []*sim.Task, deps ...*sim.Task) {
@@ -311,16 +238,15 @@ func (b *builder) makeDescs() descs {
 	headBwd := m.HeadKernels(b.local, b.cfg.Format, b.cfg.MatrixUnits, false)
 
 	tokens := float64(b.local) * float64(m.SeqLen)
-	g := b.cl.GPU()
 	return descs{
-		attnF:      exec.KernelOp(shard(kernels.Fuse("fwd.attn", attnKs...), b.d), g),
-		mlpF:       exec.KernelOp(shard(kernels.Fuse("fwd.mlp", mlpKs...), b.d), g),
-		dgrad:      exec.KernelOp(shard(kernels.Fuse("bwd.dgrad", dgradKs...), b.d), g),
-		wgrad:      exec.KernelOp(shard(kernels.Fuse("bwd.wgrad", wgradKs...), b.d), g),
-		embedF:     exec.KernelOp(shard(kernels.Fuse("fwd.embed", headFwd[0]), b.d), g),
-		headF:      exec.KernelOp(shard(kernels.Fuse("fwd.lmhead", headFwd[1:]...), b.d), g),
-		headB:      exec.KernelOp(shard(kernels.Fuse("bwd.head", headBwd...), b.d), g),
-		opt:        exec.KernelOp(m.OptimizerKernel(m.TotalParams()/float64(b.d)), g),
+		attnF:      b.KernelOp(shard(kernels.Fuse("fwd.attn", attnKs...), b.d)),
+		mlpF:       b.KernelOp(shard(kernels.Fuse("fwd.mlp", mlpKs...), b.d)),
+		dgrad:      b.KernelOp(shard(kernels.Fuse("bwd.dgrad", dgradKs...), b.d)),
+		wgrad:      b.KernelOp(shard(kernels.Fuse("bwd.wgrad", wgradKs...), b.d)),
+		embedF:     b.KernelOp(shard(kernels.Fuse("fwd.embed", headFwd[0]), b.d)),
+		headF:      b.KernelOp(shard(kernels.Fuse("fwd.lmhead", headFwd[1:]...), b.d)),
+		headB:      b.KernelOp(shard(kernels.Fuse("bwd.head", headBwd...), b.d)),
+		opt:        b.KernelOp(m.OptimizerKernel(m.TotalParams() / float64(b.d))),
 		actBytes:   tokens * float64(m.Hidden) * e,
 		layerShard: m.ParamsPerLayer() * e / float64(b.d),
 		embedShard: m.EmbedParams() * e / float64(b.d),
@@ -334,18 +260,9 @@ func (b *builder) makeDescs() descs {
 // weight-gradient GEMM overlapping the next layer's collectives, plus a
 // cross-group all-reduce of the layer's gradient shard when the node
 // holds several data-parallel groups.
-func (b *builder) buildIteration(it int) []*sim.Task {
-	start := len(b.eng.Tasks())
+func (b *builder) buildIteration(it int) {
 	L := b.cfg.Model.Layers
 	ds := b.makeDescs()
-
-	iterBarrier := func(t *sim.Task, gr int) {
-		for _, dev := range b.ranks(gr) {
-			if p := b.prevIterEnd[dev]; p != nil {
-				t.After(p)
-			}
-		}
-	}
 
 	// Per-group chain state: the latest compute chunk (per rank) and the
 	// latest critical-path collective of the group.
@@ -358,27 +275,25 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 		agAttnP, fwdAttnP, rsAttnP := tag+".ag.attn.l", tag+".fwd.attn.l", tag+".rs.attn.l"
 		agMlpP, fwdMlpP, rsMlpP := tag+".ag.mlp.l", tag+".fwd.mlp.l", tag+".rs.mlp.l"
 		embed := b.newGroupCompute(tag+".fwd.embed", gr, ds.embedF)
-		for _, t := range embed {
-			iterBarrier(t, gr)
-		}
+		after(embed, b.Last[gr*b.d:(gr+1)*b.d]...)
 		prevC[gr] = embed
 		for l := 0; l < L; l++ {
-			ag1 := b.newGroupColl(b.batch.Name(agAttnP, l), gr, collective.AllGather, ds.actBytes)
+			ag1 := b.newGroupColl(b.Name(agAttnP, l), gr, collective.AllGather, ds.actBytes)
 			after([]*sim.Task{ag1}, prevC[gr]...)
 			ag1.After(prevGate[gr])
-			attn := b.newGroupCompute(b.batch.Name(fwdAttnP, l), gr, ds.attnF)
+			attn := b.newGroupCompute(b.Name(fwdAttnP, l), gr, ds.attnF)
 			for i, t := range attn {
 				t.After(ag1, prevC[gr][i])
 			}
-			rs1 := b.newGroupColl(b.batch.Name(rsAttnP, l), gr, collective.ReduceScatter, ds.actBytes)
+			rs1 := b.newGroupColl(b.Name(rsAttnP, l), gr, collective.ReduceScatter, ds.actBytes)
 			after([]*sim.Task{rs1}, attn...)
-			ag2 := b.newGroupColl(b.batch.Name(agMlpP, l), gr, collective.AllGather, ds.actBytes)
+			ag2 := b.newGroupColl(b.Name(agMlpP, l), gr, collective.AllGather, ds.actBytes)
 			ag2.After(rs1)
-			mlp := b.newGroupCompute(b.batch.Name(fwdMlpP, l), gr, ds.mlpF)
+			mlp := b.newGroupCompute(b.Name(fwdMlpP, l), gr, ds.mlpF)
 			for i, t := range mlp {
 				t.After(ag2, attn[i])
 			}
-			rs2 := b.newGroupColl(b.batch.Name(rsMlpP, l), gr, collective.ReduceScatter, ds.actBytes)
+			rs2 := b.newGroupColl(b.Name(rsMlpP, l), gr, collective.ReduceScatter, ds.actBytes)
 			after([]*sim.Task{rs2}, mlp...)
 			prevC[gr], prevGate[gr] = mlp, rs2
 		}
@@ -423,15 +338,15 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	}
 	for l := L - 1; l >= 0; l-- {
 		for gr := 0; gr < b.groups; gr++ {
-			agB := b.newGroupColl(b.batch.Name(agBwdP[gr], l), gr, collective.AllGather, ds.actBytes)
+			agB := b.newGroupColl(b.Name(agBwdP[gr], l), gr, collective.AllGather, ds.actBytes)
 			agB.After(prevGate[gr])
-			dg := b.newGroupCompute(b.batch.Name(dgradP[gr], l), gr, ds.dgrad)
+			dg := b.newGroupCompute(b.Name(dgradP[gr], l), gr, ds.dgrad)
 			for i, t := range dg {
 				t.After(agB, prevGate[gr], prevC[gr][i])
 			}
-			rsB := b.newGroupColl(b.batch.Name(rsBwdP[gr], l), gr, collective.ReduceScatter, ds.actBytes)
+			rsB := b.newGroupColl(b.Name(rsBwdP[gr], l), gr, collective.ReduceScatter, ds.actBytes)
 			after([]*sim.Task{rsB}, dg...)
-			wg := b.newGroupCompute(b.batch.Name(wgradP[gr], l), gr, ds.wgrad)
+			wg := b.newGroupCompute(b.Name(wgradP[gr], l), gr, ds.wgrad)
 			for i, t := range wg {
 				t.After(dg[i])
 			}
@@ -439,7 +354,7 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 			prevC[gr], prevGate[gr] = dg, rsB
 		}
 		if b.groups > 1 {
-			ar := b.newDPAllReduce(b.batch.Name(arDpPrefix, l), ds.layerShard)
+			ar := b.newDPAllReduce(b.Name(arDpPrefix, l), ds.layerShard)
 			for gr := 0; gr < b.groups; gr++ {
 				after([]*sim.Task{ar}, lastWg[gr]...)
 			}
@@ -463,10 +378,6 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 			t.After(prevGate[gr], prevC[gr][i], lastWg[gr][i])
 			t.After(dpARs...)
 		}
-		for i, dev := range b.ranks(gr) {
-			b.prevIterEnd[dev] = opt[i]
-		}
+		copy(b.Last[gr*b.d:], opt)
 	}
-
-	return b.eng.Tasks()[start:]
 }

@@ -47,8 +47,9 @@ func planDigest(t *testing.T, plan *exec.Plan) string {
 
 // TestStrategySymmetryClasses pins the collapse behavior per strategy:
 // the data-parallel strategies expose rank symmetry the runner actually
-// exploits, while pipeline stages (different layers per device) are
-// declared asymmetric and never probed.
+// exploits, while pipeline plans are probed like every other plan and
+// detection finds their stages (different layers per device)
+// asymmetric.
 func TestStrategySymmetryClasses(t *testing.T) {
 	cases := []struct {
 		parallelism core.Parallelism
