@@ -31,7 +31,8 @@ type Op struct {
 // The builder pre-sizes the engine's slab allocators for the plan's
 // expected task count and assembles the dotted per-layer/per-device task
 // names in a reusable buffer, so building a plan allocates per task only
-// what outlives construction (the name string and queue slots).
+// what outlives construction: its queue slots, and its name — one string
+// per Compute fan-out, which the fan-out's tasks slice.
 type Builder struct {
 	// Eng is the plan's engine.
 	Eng *sim.Engine
@@ -46,7 +47,8 @@ type Builder struct {
 	devices []int         // 0..n-1, shared read-only
 	chain   *Chain        // sequential mode only
 	prep    *collective.Preparer
-	buf     []byte
+	buf     []byte // name assembly, reused
+	ends    []int  // end offset of each name of a Compute fan-out in buf
 }
 
 // NewBuilder starts a plan on a fresh engine bound to the cluster,
@@ -113,14 +115,6 @@ func (b *Builder) Name(prefix string, idx int) string {
 	return string(b.buf)
 }
 
-// devName returns base+"@"+dev, the per-device task-name convention.
-func (b *Builder) devName(base string, dev int) string {
-	b.buf = append(b.buf[:0], base...)
-	b.buf = append(b.buf, '@')
-	b.buf = strconv.AppendInt(b.buf, int64(dev), 10)
-	return string(b.buf)
-}
-
 // ComputeOn creates one compute task on the device's compute stream. In
 // sequential mode it is chain-ordered on the device.
 func (b *Builder) ComputeOn(name string, op Op, dev int) *sim.Task {
@@ -130,11 +124,23 @@ func (b *Builder) ComputeOn(name string, op Op, dev int) *sim.Task {
 }
 
 // Compute creates one compute task per device in [lo, hi), named
-// base@device.
+// base@device. The fan-out's names are assembled back to back in the
+// reusable buffer and converted to one string that every name slices,
+// so a fan-out allocates one name string instead of one per device.
 func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
+	b.buf, b.ends = b.buf[:0], b.ends[:0]
+	for d := lo; d < hi; d++ {
+		b.buf = append(b.buf, base...)
+		b.buf = append(b.buf, '@')
+		b.buf = strconv.AppendInt(b.buf, int64(d), 10)
+		b.ends = append(b.ends, len(b.buf))
+	}
+	names := string(b.buf)
 	out := make([]*sim.Task, hi-lo)
-	for i := range out {
-		out[i] = b.ComputeOn(b.devName(base, lo+i), op, lo+i)
+	start := 0
+	for i, end := range b.ends {
+		out[i] = b.ComputeOn(names[start:end], op, lo+i)
+		start = end
 	}
 	return out
 }

@@ -249,24 +249,32 @@ func iterationMeasurement(tasks []*sim.Task, alias []int) metrics.Iteration {
 // chaining cannot deadlock on rendezvous operations, because the per-device
 // orders are generated from one legal global schedule.
 type Chain struct {
-	last map[int]*sim.Task
+	last []*sim.Task // latest operation per device index
 }
 
 // NewChain returns an empty chain.
-func NewChain() *Chain { return &Chain{last: make(map[int]*sim.Task)} }
+func NewChain() *Chain { return &Chain{} }
 
 // Order makes t run after every previously ordered operation on each of
 // the listed devices, then records t as those devices' latest operation.
 func (c *Chain) Order(t *sim.Task, devices ...int) {
 	for _, d := range devices {
-		if prev := c.last[d]; prev != nil && prev != t {
+		if prev := c.Last(d); prev != nil && prev != t {
 			t.After(prev)
 		}
 	}
 	for _, d := range devices {
+		if d >= len(c.last) {
+			c.last = append(c.last, make([]*sim.Task, d+1-len(c.last))...)
+		}
 		c.last[d] = t
 	}
 }
 
 // Last returns the most recent operation ordered on the device, or nil.
-func (c *Chain) Last(device int) *sim.Task { return c.last[device] }
+func (c *Chain) Last(device int) *sim.Task {
+	if device < 0 || device >= len(c.last) {
+		return nil
+	}
+	return c.last[device]
+}

@@ -102,6 +102,18 @@ type Cluster struct {
 	// active lists the devices that are actually simulated.
 	alias  []int
 	active []int
+
+	// repStats memoizes each class representative's power summary once
+	// a collapsed run is finalized: ghost devices share their
+	// representative's sampler, so their summary is the same value. nil
+	// for a full simulation, and dropped when telemetry changes again.
+	repStats []repStat
+}
+
+// repStat is one representative's memoized power summary.
+type repStat struct {
+	stats power.Stats
+	ok    bool
 }
 
 // device is one GPU's running-set partition for the current epoch plus
@@ -227,9 +239,19 @@ func (c *Cluster) Trace(i int) *power.Sampler {
 	return c.traces[i]
 }
 
-// PowerStats summarizes the telemetry of GPU i.
+// PowerStats summarizes the telemetry of GPU i. After a collapsed run
+// the summary is computed once per symmetry class and shared by its
+// members, whose telemetry is the representative's.
 func (c *Cluster) PowerStats(i int) power.Stats {
-	return power.StatsFor(c.samplers[i], c.g)
+	if c.repStats == nil {
+		return power.StatsFor(c.samplers[i], c.g)
+	}
+	rep := c.alias[i]
+	r := &c.repStats[rep]
+	if !r.ok {
+		r.stats, r.ok = power.StatsFor(c.samplers[rep], c.g), true
+	}
+	return r.stats
 }
 
 // jitterFor returns the stable rate multiplier of a task.
@@ -384,6 +406,7 @@ func (c *Cluster) solve(dev int) {
 // call FinalizeAliases after it.
 func (c *Cluster) SetAliases(alias []int) {
 	c.alias = nil
+	c.repStats = nil
 	c.active = c.active[:0]
 	for d := range c.dev {
 		c.dev[d].reset()
@@ -410,7 +433,8 @@ func (c *Cluster) SetAliases(alias []int) {
 // FinalizeAliases back-fills aliased devices' telemetry from their class
 // representatives after a collapsed run. Sharing the sampler and trace
 // by reference is exact, not an approximation: class members of a
-// deterministic run would have produced bit-identical telemetry.
+// deterministic run would have produced bit-identical telemetry. From
+// here until the next segment, PowerStats summarizes each class once.
 func (c *Cluster) FinalizeAliases() {
 	if c.alias == nil {
 		return
@@ -426,6 +450,7 @@ func (c *Cluster) FinalizeAliases() {
 			c.traces[d] = c.traces[rep]
 		}
 	}
+	c.repStats = make([]repStat, c.n)
 }
 
 // Deterministic reports whether the rate model is free of run-to-run
@@ -542,6 +567,7 @@ func (c *Cluster) Segment(t0, t1 float64, running []*sim.Task) {
 		c.partition(running)
 	}
 	c.partFresh = false
+	c.repStats = nil
 	for _, dev := range c.active {
 		d := &c.dev[dev]
 		var w float64

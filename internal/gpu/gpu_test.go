@@ -162,6 +162,37 @@ func TestPowerObservation(t *testing.T) {
 	}
 }
 
+// TestPowerStatsPerClass pins the memoized class summaries: after a
+// collapsed run every device reports exactly the summary of its own
+// (shared) sampler, and telemetry recorded afterwards is not hidden by
+// the memo.
+func TestPowerStatsPerClass(t *testing.T) {
+	g := hw.H100()
+	cl := newCluster(t, g, 4, power.Caps{})
+	cl.SetAliases([]int{0, 0, 2, 2})
+	eng := sim.NewEngine(cl)
+	eng.AddObserver(cl)
+	d := kernels.GEMM("g", 8192, 8192, 8192, 1, precision.FP16, precision.Matrix)
+	eng.NewTask("g", sim.KindCompute, kernels.Work(d), d, eng.NewStream("c0", 0))
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cl.FinalizeAliases()
+	for i := 0; i < 4; i++ {
+		if got, want := cl.PowerStats(i), power.StatsFor(cl.Sampler(i), g); got != want {
+			t.Fatalf("gpu %d: PowerStats %+v, sampler summary %+v", i, got, want)
+		}
+	}
+	if busy, idle := cl.PowerStats(1), cl.PowerStats(3); busy.EnergyJ <= idle.EnergyJ {
+		t.Fatalf("ghost of the busy class reports %g J, ghost of the idle class %g J", busy.EnergyJ, idle.EnergyJ)
+	}
+	before := cl.PowerStats(0)
+	cl.Segment(eng.Now(), eng.Now()+1, nil)
+	if got := cl.PowerStats(0); got == before || got != power.StatsFor(cl.Sampler(0), g) {
+		t.Fatalf("summary after a new segment = %+v, want a fresh one (was %+v)", got, before)
+	}
+}
+
 func TestJitterDeterministicBySeed(t *testing.T) {
 	g := hw.H100()
 	run := func(seed int64) float64 {

@@ -184,20 +184,30 @@ func (b *builder) prepare() {
 	layers := splitLayers(m.Layers, b.n)
 	headF := m.HeadKernels(micro, b.cfg.Format, b.cfg.MatrixUnits, true)
 	headB := m.HeadKernels(micro, b.cfg.Format, b.cfg.MatrixUnits, false)
+	layerF := m.ForwardLayerKernels(micro, b.cfg.Format, b.cfg.MatrixUnits)
+	layerB := m.BackwardLayerKernels(micro, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)
 	for s := 0; s < b.n; s++ {
-		var fParts, bParts []kernels.Desc
+		nF, nB := layers[s]*len(layerF), layers[s]*len(layerB)
+		if s == 0 {
+			nF, nB = nF+1, nB+1
+		}
+		if s == b.n-1 {
+			nF, nB = nF+len(headF)-1, nB+2
+		}
+		fParts := make([]kernels.Desc, 0, nF)
+		bParts := make([]kernels.Desc, 0, nB)
 		if s == 0 {
 			fParts = append(fParts, headF[0]) // embedding lookup
 		}
 		for l := 0; l < layers[s]; l++ {
-			fParts = append(fParts, m.ForwardLayerKernels(micro, b.cfg.Format, b.cfg.MatrixUnits)...)
+			fParts = append(fParts, layerF...)
 		}
 		if s == b.n-1 {
 			fParts = append(fParts, headF[1:]...) // LM head + loss
 			bParts = append(bParts, headB[:2]...) // LM head gradients
 		}
 		for l := 0; l < layers[s]; l++ {
-			bParts = append(bParts, m.BackwardLayerKernels(micro, b.cfg.Format, b.cfg.MatrixUnits, b.cfg.Checkpoint)...)
+			bParts = append(bParts, layerB...)
 		}
 		if s == 0 {
 			bParts = append(bParts, headB[2]) // embedding gradient scatter

@@ -65,26 +65,29 @@ const (
 // Task is one unit of simulated work. Create tasks with Engine.NewTask and
 // configure them before Engine.Run is called.
 type Task struct {
-	name    string
+	// The first 64 bytes hold every field the symmetry proof and the
+	// collapse read per task and per edge, so those passes over tens of
+	// thousands of tasks touch one or two cache lines of each.
 	kind    Kind
 	work    float64
 	payload any
+	deps    int
+	seq     int // creation order, for deterministic iteration
+	st      state
+	mirror  *Task // class-representative counterpart when collapsed (see symmetry.go)
 
 	streams []*Stream
-	deps    int
 	succs   []*Task
 	onDone  []func(now float64)
 
 	remaining float64
 	rate      float64
-	st        state
 	started   bool
 	start     float64
 	end       float64
 
-	seq    int     // creation order, for deterministic iteration
-	eng    *Engine // owning engine (for slab allocation in After)
-	mirror *Task   // class-representative counterpart when collapsed (see symmetry.go)
+	name string
+	eng  *Engine // owning engine (for slab allocation in After)
 }
 
 // Name returns the task's diagnostic name.

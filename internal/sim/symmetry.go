@@ -40,12 +40,19 @@ func (c Class) Rep() int { return c.Members[0] }
 // positional counterpart on the other device. Devices with rendezvous
 // (multi-stream) tasks or completion callbacks are never merged.
 //
-// DetectClasses must run before the engine has executed; on an engine
-// that already ran (or with a nil eq) it returns nil. The result also
-// records, on every task of a non-representative member, which
-// representative task mirrors it — Collapse consumes that mapping.
+// DetectClasses must run before the engine has executed or collapsed;
+// on an engine that already did (or with a nil eq) it returns nil. The
+// result also records, on every task of a non-representative member,
+// which representative task mirrors it — Collapse consumes that mapping.
+//
+// The proof costs two passes over the tasks and one over the edges: a
+// per-device walk of the stream queues that records each task's
+// structural position and mixes the device signature, a prefix sum over
+// the in-degrees, and one walk over the successor lists that fills the
+// predecessor index. Pairwise verification then touches only devices
+// whose signatures collide.
 func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
-	if e.ran || eq == nil || len(e.streams) == 0 {
+	if e.ran || len(e.ghosts) > 0 || eq == nil || len(e.streams) == 0 {
 		return nil
 	}
 	maxDev := -1
@@ -68,6 +75,13 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	// within the device, queue position) identifies the task's structural
 	// slot; counterpart dependencies are paired through it. Multi-stream
 	// tasks get no position and veto every device they touch.
+	//
+	// The same walk mixes each device's structural signature; devices
+	// bucket by it, then verify pairwise against each bucketed class rep.
+	// A word-at-a-time FNV-style mix: collisions only cost a failed
+	// pairwise verify, so a fast weak hash beats a slow strong one. The
+	// in-degree stands for the predecessor count: before a run or a
+	// collapse, After is its only writer, once per edge.
 	const (
 		devUnset = -1
 		devMulti = -2
@@ -83,9 +97,18 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	for dev, ss := range devStreams {
 		mergeable[dev] = len(ss) > 0
 	}
+	sig := make([]uint64, maxDev+1)
 	for dev, ss := range devStreams {
+		h := uint64(14695981039346656037)
+		mix := func(v uint64) {
+			h = (h ^ v) * 1099511628211
+		}
+		mix(uint64(len(ss)))
 		for si, s := range ss {
+			mix(uint64(len(s.queue)))
 			for qi, t := range s.queue {
+				mix(uint64(t.kind)<<32 ^ uint64(t.deps))
+				mix(math.Float64bits(t.work))
 				if len(t.streams) > 1 || len(t.onDone) > 0 || t.st != statePending {
 					for _, ts := range t.streams {
 						mergeable[ts.device] = false
@@ -98,60 +121,32 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 				posQueue[t.seq] = int32(qi)
 			}
 		}
-	}
-
-	// Flat predecessor index, filled by one walk over the tasks in
-	// creation order. Symmetric builders emit counterpart edges in the
-	// same global order on every member device, so the per-task pred
-	// lists of counterpart tasks align positionally. The index stores
-	// seq numbers, not pointers: tasks[i].seq == i makes them
-	// equivalent, and a pointer-free slab is invisible to the garbage
-	// collector — at cluster scale this index is the detector's largest
-	// allocation.
-	cnt := make([]int32, nT+1)
-	for _, t := range e.tasks {
-		for _, s := range t.succs {
-			cnt[s.seq+1]++
-		}
-	}
-	for i := 1; i <= nT; i++ {
-		cnt[i] += cnt[i-1]
-	}
-	flat := make([]int32, cnt[nT])
-	fill := make([]int32, nT)
-	copy(fill, cnt[:nT])
-	for _, t := range e.tasks {
-		for _, s := range t.succs {
-			flat[fill[s.seq]] = int32(t.seq)
-			fill[s.seq]++
-		}
-	}
-	preds := func(t *Task) []int32 { return flat[cnt[t.seq]:cnt[t.seq+1]] }
-
-	// Cheap structural signature per mergeable device; devices bucket by
-	// hash, then verify pairwise against each bucketed class rep.
-	sig := make([]uint64, maxDev+1)
-	for dev, ss := range devStreams {
-		if !mergeable[dev] {
-			continue
-		}
-		// Word-at-a-time FNV-style mix: collisions only cost a failed
-		// pairwise verify, so a fast weak hash beats a slow strong one.
-		h := uint64(14695981039346656037)
-		mix := func(v uint64) {
-			h = (h ^ v) * 1099511628211
-		}
-		mix(uint64(len(ss)))
-		for _, s := range ss {
-			mix(uint64(len(s.queue)))
-			for _, t := range s.queue {
-				mix(uint64(t.kind)<<32 ^ uint64(t.deps))
-				mix(math.Float64bits(t.work))
-				mix(uint64(len(preds(t))))
-			}
-		}
 		sig[dev] = h
 	}
+
+	// Flat predecessor index. Symmetric builders emit counterpart edges
+	// in the same global order on every member device, so the per-task
+	// pred lists of counterpart tasks align positionally. Each task's
+	// slot is sized by its in-degree; one walk over the successor lists
+	// in creation order fills the slots, advancing end[i] from the slot's
+	// start to its end. The index stores seq numbers, not pointers:
+	// tasks[i].seq == i makes them equivalent, and a pointer-free slab is
+	// invisible to the garbage collector — at cluster scale this index is
+	// the detector's largest allocation.
+	end := make([]int32, nT)
+	n := int32(0)
+	for i, t := range e.tasks {
+		end[i] = n
+		n += int32(t.deps)
+	}
+	flat := make([]int32, n)
+	for _, t := range e.tasks {
+		for _, s := range t.succs {
+			flat[end[s.seq]] = int32(t.seq)
+			end[s.seq]++
+		}
+	}
+	preds := func(t *Task) []int32 { return flat[end[t.seq]-int32(t.deps) : end[t.seq]] }
 
 	verify := func(a, b int) bool {
 		sa, sb := devStreams[a], devStreams[b]
@@ -172,9 +167,6 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 					return false
 				}
 				pa, pb := preds(ta), preds(tb)
-				if len(pa) != len(pb) {
-					return false
-				}
 				for i := range pa {
 					da, db := pa[i], pb[i]
 					if da == db {
