@@ -270,6 +270,9 @@ func TestDetectClassesMatchesReference(t *testing.T) {
 		{"perturbed rank", func() *Engine { e, _ := symDAG(4, 6, perturb); return e }, [][]int{{0, 1, 3}, {2}, {4}}},
 		{"ddp barrier", ddpBarrierDAG, [][]int{{0}, {1, 2}, {3}}},
 		{"fuzz seed", func() *Engine { return classFuzzDAG([]byte{5, 7, 3, 17, 2, 0, 40, 26, 0, 9, 5, 250}) }, nil},
+		// Rank 0's third slot waits on its second slot, rank 1's on its
+		// first: same in-degree, same devices, different queue positions.
+		{"wrong-slot dependency", func() *Engine { return classFuzzDAG(wrongSlotSeed) }, [][]int{{0}, {1}, {2}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,8 +303,8 @@ func TestDetectClassesMatchesReference(t *testing.T) {
 // task (collective), a barrier on every rank's earlier slot, a ring
 // neighbour's slot, a duplicated own edge, or a shared reduction of
 // every rank's slot that the slot then waits on. A perturbation touches
-// one rank: its work, payload, a rendezvous on the shared stream, or a
-// completion callback.
+// one rank: its work, payload, a rendezvous on the shared stream, a
+// completion callback, or a dependency on a different earlier slot.
 func classFuzzDAG(data []byte) *Engine {
 	if len(data) < 3 {
 		return nil
@@ -364,18 +367,22 @@ func classFuzzDAG(data []byte) *Engine {
 				t.OnDone(func(float64) {})
 			}
 			if i > 0 {
+				jr := j
+				if r == victim && pb >= 200 && pb < 210 {
+					jr = (j + 1) % i
+				}
 				switch mode {
 				case 0:
-					t.After(tasks[r][j])
+					t.After(tasks[r][jr])
 				case 2:
 					for q := range tasks {
 						t.After(tasks[q][j])
 					}
 					if flags&4 != 0 {
-						t.After(tasks[r][j])
+						t.After(tasks[r][jr])
 					}
 				case 3:
-					t.After(tasks[(r+1)%ranks][j])
+					t.After(tasks[(r+1)%ranks][jr])
 				case 4:
 					t.After(tasks[r][i-1], tasks[r][i-1])
 				default:
@@ -389,6 +396,10 @@ func classFuzzDAG(data []byte) *Engine {
 	return e
 }
 
+// wrongSlotSeed builds two ranks of nine slots whose only difference is
+// the queue position of one dependency (slot byte 202 on rank 0).
+var wrongSlotSeed = []byte("00000000000\xca00000000000")
+
 // FuzzDetectClasses is the detector differential: on every fuzzed
 // rank-replicated DAG, DetectClasses must return the reference's
 // classes and record the reference's mirror for every task.
@@ -397,6 +408,7 @@ func FuzzDetectClasses(f *testing.F) {
 	f.Add([]byte{2, 6, 6, 2, 10, 1, 18, 3, 0, 2, 34, 225})
 	f.Add([]byte{4, 2, 6, 1, 0, 0, 1, 2, 0})
 	f.Add([]byte{7, 9, 1, 33, 4, 235, 3, 5, 245, 8, 1, 212, 16, 3, 0})
+	f.Add(wrongSlotSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if classFuzzDAG(data) == nil {
 			return
