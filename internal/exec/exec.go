@@ -273,7 +273,7 @@ func (c *Chain) Order(t *sim.Task, devices ...int) {
 
 // Last returns the most recent operation ordered on the device, or nil.
 func (c *Chain) Last(device int) *sim.Task {
-	if device < 0 || device >= len(c.last) {
+	if device >= len(c.last) {
 		return nil
 	}
 	return c.last[device]

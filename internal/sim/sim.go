@@ -65,9 +65,10 @@ const (
 // Task is one unit of simulated work. Create tasks with Engine.NewTask and
 // configure them before Engine.Run is called.
 type Task struct {
-	// The first 64 bytes hold every field the symmetry proof and the
-	// collapse read per task and per edge, so those passes over tens of
-	// thousands of tasks touch one or two cache lines of each.
+	// The first 64 bytes hold the fields the symmetry proof compares for
+	// every task pair and the collapse checks on every edge, so those
+	// passes over tens of thousands of tasks touch one or two cache
+	// lines of each.
 	kind    Kind
 	work    float64
 	payload any
