@@ -160,13 +160,18 @@ func (b *builder) buildIteration(it int) {
 		agEmbed := b.newCollective(tag+".ag.embed", collective.AllGather, embedBytes)
 		embedF := b.newCompute(tag+".fwd.embed", embedOp)
 		after(embedF, agEmbed)
+		prev := prevStepB
 		if step == 0 {
+			// Iteration barrier: the embedding all-gather waits on every
+			// rank's optimizer step and every rank's first compute waits
+			// on the gather, so each compute needs only its own rank's
+			// step as a direct edge. Waiting on all of b.Last too would
+			// add ranks² redundant edges.
 			agEmbed.After(b.Last...)
-			after(embedF, b.Last...)
-		} else {
-			for d, t := range embedF {
-				t.After(prevStepB[d])
-			}
+			prev = b.Last
+		}
+		for d, t := range embedF {
+			t.After(prev[d])
 		}
 
 		agFwdPrefix, fwdPrefix := tag+".ag.fwd.l", tag+".fwd.l"
