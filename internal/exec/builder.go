@@ -40,6 +40,15 @@ type Builder struct {
 	// barrier the next iteration's first tasks wait for (nil during the
 	// first iteration). The strategy records it as it builds each
 	// iteration.
+	//
+	// Gating every first task directly on all of Last costs ranks²
+	// edges. If a collective already waits on every rank's Last and
+	// gates the iteration's first tasks (FSDP's embedding all-gather),
+	// gate each first task on the collective plus its own rank's Last:
+	// the collective carries the barrier. DDP has no such collective
+	// ahead of its first forward, so it keeps the direct edges; dropping
+	// them would let jittered ranks start early. TP's barrier spans one
+	// group of at most a node's ranks.
 	Last []*sim.Task
 
 	cl      *gpu.Cluster

@@ -163,10 +163,9 @@ func (b *builder) buildIteration(it int) {
 		prev := prevStepB
 		if step == 0 {
 			// Iteration barrier: the embedding all-gather waits on every
-			// rank's optimizer step and every rank's first compute waits
-			// on the gather, so each compute needs only its own rank's
-			// step as a direct edge. Waiting on all of b.Last too would
-			// add ranks² redundant edges.
+			// rank's optimizer step and gates every rank's first compute,
+			// so that compute needs a direct edge only to its own rank's
+			// step. Edges to every rank's step would cost ranks².
 			agEmbed.After(b.Last...)
 			prev = b.Last
 		}

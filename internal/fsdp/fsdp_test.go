@@ -2,6 +2,7 @@ package fsdp
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"overlapsim/internal/exec"
@@ -10,6 +11,7 @@ import (
 	"overlapsim/internal/metrics"
 	"overlapsim/internal/model"
 	"overlapsim/internal/precision"
+	"overlapsim/internal/sim"
 	"overlapsim/internal/strategy"
 )
 
@@ -174,5 +176,89 @@ func TestPrefetchBoundsOverlapWindows(t *testing.T) {
 	deep := run(3)
 	if deep > shallow*1.05 {
 		t.Errorf("deeper prefetch should not slow the iteration much: %g vs %g", deep, shallow)
+	}
+}
+
+// buildAllocPerTask builds one iteration of GPT-3 XL on ranks H100s (8
+// per node) and returns the bytes the build allocated per task.
+func buildAllocPerTask(t *testing.T, ranks int, mode exec.Mode) float64 {
+	t.Helper()
+	cl, err := gpu.New(gpu.Config{System: hw.NewMultiNode(hw.H100(), 8, ranks/8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := strategy.Params{
+		Model: model.GPT3XL(), Batch: ranks, Format: precision.FP16, MatrixUnits: true,
+		Iterations: 1, Mode: mode,
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	plan, err := Build(cl, p)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(plan.Engine.Tasks()))
+}
+
+// The plan is O(ranks): its task count grows linearly with ranks, and so
+// must the bytes building it allocates. A per-rank dependency on every
+// rank (ranks² edges) shows up as bytes per task that grow with ranks.
+func TestPlanSizeLinearInRanks(t *testing.T) {
+	for _, mode := range []exec.Mode{exec.Overlapped, exec.Sequential} {
+		small := buildAllocPerTask(t, 64, mode)
+		large := buildAllocPerTask(t, 512, mode)
+		if large > small*1.10 {
+			t.Errorf("%v: build allocates %.0f B/task at 512 ranks, %.0f B/task at 64 (more than 10%% growth)",
+				mode, large, small)
+		}
+	}
+}
+
+// The iteration barrier holds without a direct all-to-all edge: no rank
+// starts computing iteration i+1 before every rank has finished
+// iteration i. Jitter de-synchronizes the ranks and vetoes the symmetry
+// collapse, so every rank's schedule is simulated.
+func TestIterationBarrierHolds(t *testing.T) {
+	for _, mode := range []exec.Mode{exec.Overlapped, exec.Sequential} {
+		cl, err := gpu.New(gpu.Config{System: hw.NewSystem(hw.H100(), 8), JitterSigma: 0.02, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Build(cl, strategy.Params{
+			Model: tinyModel(), Batch: 16, Format: precision.FP16, MatrixUnits: true,
+			Warmup: 1, Iterations: 2, Mode: mode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < len(plan.Iterations); i++ {
+			barrier := 0.0
+			for _, task := range plan.Iterations[i] {
+				barrier = max(barrier, task.End())
+			}
+			first := map[int]*sim.Task{}
+			for _, task := range plan.Iterations[i+1] {
+				if task.Kind() != sim.KindCompute {
+					continue
+				}
+				d := task.Streams()[0].Device()
+				if f, ok := first[d]; !ok || task.Start() < f.Start() {
+					first[d] = task
+				}
+			}
+			if len(first) != cl.N() {
+				t.Fatalf("%v: iteration %d computes on %d ranks, want %d", mode, i+1, len(first), cl.N())
+			}
+			for d, task := range first {
+				if task.Start() < barrier {
+					t.Errorf("%v: rank %d starts %s at %g, before iteration %d ends at %g",
+						mode, d, task.Name(), task.Start(), i, barrier)
+				}
+			}
+		}
 	}
 }

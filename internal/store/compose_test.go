@@ -127,16 +127,16 @@ func TestFlightWaiterCountedOncePerCall(t *testing.T) {
 	f.mu.Unlock()
 	close(c1.done)
 
-	// Let the waiter re-enter and park on c2, then finish the call.
-	runtime.Gosched()
-	f.mu.Lock()
-	delete(f.calls, key)
-	f.mu.Unlock()
+	// Finish c2 while it is still registered, so the waiter's retry finds
+	// it whether or not it has re-entered yet. Deleting c2 first would let
+	// a waiter that has not yet re-entered become the leader and run fn.
 	close(c2.done)
-
 	if res := <-done; res != want {
 		t.Fatalf("waiter got %+v, want the second leader's result", res)
 	}
+	f.mu.Lock()
+	delete(f.calls, key)
+	f.mu.Unlock()
 	if n := mFlightWaiters.Value() - base; n != 1 {
 		t.Errorf("one coalesced caller counted %d times", n)
 	}
