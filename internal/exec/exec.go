@@ -59,9 +59,11 @@ type Plan struct {
 	// would prove it (differential tests, reference benchmarks).
 	NoCollapse bool
 
-	ran        bool
-	classes    []sim.Class
-	ghostTasks int
+	ran bool
+	// alias maps every device to its class representative after a
+	// collapsed run, nil when the plan ran in full. It feeds both the
+	// cluster's telemetry back-fill and measurement extraction.
+	alias []int
 }
 
 // Run executes the simulation.
@@ -86,36 +88,28 @@ func (p *Plan) RunContext(ctx context.Context) error {
 	p.ran = true
 	if !p.NoCollapse && (p.Cluster == nil || p.Cluster.Deterministic()) {
 		classes := p.mergeableClasses(p.Engine.DetectClasses(PayloadEq))
-		if ghosts := p.Engine.Collapse(classes); ghosts > 0 {
-			p.classes = classes
-			p.ghostTasks = ghosts
+		if p.Engine.Collapse(classes) > 0 {
+			p.alias = p.aliasVector(classes)
 			if p.Cluster != nil {
-				p.Cluster.SetAliases(aliasVector(p.Cluster.N(), classes))
+				p.Cluster.SetAliases(p.alias)
 			}
 		}
 	}
 	err := p.Engine.RunContext(ctx)
-	if err == nil && p.ghostTasks > 0 && p.Cluster != nil {
+	if err == nil && p.alias != nil && p.Cluster != nil {
 		p.Cluster.FinalizeAliases()
 	}
 	return err
 }
-
-// GhostTasks reports how many tasks the symmetry fast path reconstructed
-// instead of simulating (zero before the plan runs or when it ran in
-// full).
-func (p *Plan) GhostTasks() int { return p.ghostTasks }
-
-// CollapsedClasses returns the symmetry classes the run actually merged.
-func (p *Plan) CollapsedClasses() []sim.Class { return p.classes }
 
 // ErrNotRun is returned when a plan's measurements are requested before
 // the plan has executed.
 var ErrNotRun = errors.New("exec: plan has not run")
 
 // EngineStats reports the engine's scheduling self-stats (epochs, dirty
-// rechecks, arena usage — see sim.Stats). Valid at any time; most useful
-// after the plan has run, when it describes the whole execution.
+// rechecks, arena usage, collapsed classes and ghost tasks — see
+// sim.Stats). Valid at any time; most useful after the plan has run,
+// when it describes the whole execution.
 func (p *Plan) EngineStats() sim.Stats {
 	return p.Engine.Stats()
 }
@@ -129,32 +123,11 @@ func (p *Plan) MeasuredIterations() ([]metrics.Iteration, error) {
 	if !p.ran {
 		return nil, fmt.Errorf("MeasuredIterations: %w", ErrNotRun)
 	}
-	alias := p.measureAlias()
 	var out []metrics.Iteration
 	for i := p.Warmup; i < len(p.Iterations); i++ {
-		out = append(out, iterationMeasurement(p.Iterations[i], alias))
+		out = append(out, iterationMeasurement(p.Iterations[i], p.alias))
 	}
 	return out, nil
-}
-
-// measureAlias flattens the collapsed classes into a device→rep map for
-// measurement extraction, or nil when the plan ran in full.
-func (p *Plan) measureAlias() []int {
-	if len(p.classes) == 0 {
-		return nil
-	}
-	n := 0
-	for _, c := range p.classes {
-		for _, m := range c.Members {
-			if m >= n {
-				n = m + 1
-			}
-		}
-	}
-	if p.Cluster != nil && p.Cluster.N() > n {
-		n = p.Cluster.N()
-	}
-	return aliasVector(n, p.classes)
 }
 
 // MeasuredTimeline returns the merged kernel timeline of the measured
@@ -164,31 +137,25 @@ func (p *Plan) MeasuredTimeline() (*trace.Timeline, error) {
 	if !p.ran {
 		return nil, fmt.Errorf("MeasuredTimeline: %w", ErrNotRun)
 	}
-	tl := trace.New()
+	var tasks []*sim.Task
 	for i := p.Warmup; i < len(p.Iterations); i++ {
-		for _, t := range p.Iterations[i] {
-			tl.AddTask(t)
-		}
+		tasks = append(tasks, p.Iterations[i]...)
 	}
-	return tl, nil
+	return trace.FromTasks(tasks), nil
 }
 
-// IterationMeasurement extracts the paper's per-iteration measurement from
+// iterationMeasurement extracts the paper's per-iteration measurement from
 // one iteration's completed tasks. Kernel times are averaged across the
 // devices present so that Eq. 4's subtraction of the absolute compute
 // slowdown from the wall-clock E2E is dimensionally per-GPU.
-func IterationMeasurement(tasks []*sim.Task) metrics.Iteration {
-	return iterationMeasurement(tasks, nil)
-}
-
-// iterationMeasurement is IterationMeasurement with an optional
-// device→representative alias map from a collapsed run. The timeline is
-// built over representative devices only, and each device adds its
-// representative's per-device tuple — the same additions in the same
-// device order as the full extraction, since a ghost's intervals are
-// bitwise copies of its representative's. A nil alias means the devices
-// present, each its own representative. The result is bit-identical
-// either way.
+//
+// alias is the device→representative map of a collapsed run. The
+// timeline is built over representative devices only, and each device
+// adds its representative's per-device tuple — the same additions in the
+// same device order as the full extraction, since a ghost's intervals
+// are bitwise copies of its representative's. A nil alias means the
+// devices present, each its own representative. The result is
+// bit-identical either way.
 func iterationMeasurement(tasks []*sim.Task, alias []int) metrics.Iteration {
 	var keep func(device int) bool
 	if alias != nil {

@@ -69,7 +69,7 @@ func TestIterationMeasurement(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	it := IterationMeasurement([]*sim.Task{a, b})
+	it := iterationMeasurement([]*sim.Task{a, b}, nil)
 	// Kernel times average across the two devices: (2+4)/2 = 3.
 	if it.ComputeKernelTime != 3 {
 		t.Errorf("compute kernel time %g, want 3", it.ComputeKernelTime)
@@ -80,7 +80,7 @@ func TestIterationMeasurement(t *testing.T) {
 }
 
 func TestIterationMeasurementEmpty(t *testing.T) {
-	it := IterationMeasurement(nil)
+	it := iterationMeasurement(nil, nil)
 	if it.E2E != 0 || it.ComputeKernelTime != 0 {
 		t.Errorf("empty measurement %+v", it)
 	}

@@ -170,19 +170,25 @@ func (p *Plan) mergeableClasses(classes []sim.Class) []sim.Class {
 	return out
 }
 
-// aliasVector flattens collapsed classes into the device→representative
-// map gpu.Cluster.SetAliases consumes.
-func aliasVector(n int, classes []sim.Class) []int {
+// aliasVector flattens collapsed classes into a device→representative
+// map covering every cluster device and every class member.
+func (p *Plan) aliasVector(classes []sim.Class) []int {
+	n := 0
+	if p.Cluster != nil {
+		n = p.Cluster.N()
+	}
+	for _, c := range classes {
+		for _, m := range c.Members {
+			n = max(n, m+1)
+		}
+	}
 	alias := make([]int, n)
 	for d := range alias {
 		alias[d] = d
 	}
 	for _, c := range classes {
-		rep := c.Members[0]
 		for _, m := range c.Members[1:] {
-			if m < n {
-				alias[m] = rep
-			}
+			alias[m] = c.Members[0]
 		}
 	}
 	return alias

@@ -224,13 +224,6 @@ func BaseTime(d Desc, g *hw.GPUSpec) float64 {
 	return d.CostOn(g).Time(1, 0, 0, 0)
 }
 
-// BaseRate returns the contention-free execution rate of the kernel in
-// work units per second, where work is FLOPs for compute-classified
-// kernels (or bytes when FLOPs is zero).
-func BaseRate(d Desc, g *hw.GPUSpec) float64 {
-	return d.CostOn(g).Rate(1, 0, 0, 0)
-}
-
 // Work returns the abstract work units the simulator tracks for the
 // kernel: FLOPs when nonzero, otherwise bytes.
 func Work(d Desc) float64 {
@@ -238,12 +231,6 @@ func Work(d Desc) float64 {
 		return d.FLOPs
 	}
 	return d.Bytes
-}
-
-// Rate returns the kernel's execution rate in work units per second under
-// the given contention state (see Cost.Time).
-func Rate(d Desc, g *hw.GPUSpec, freq, smStolen, hbmStolen, serialize float64) float64 {
-	return d.CostOn(g).Rate(freq, smStolen, hbmStolen, serialize)
 }
 
 // minMemFloor is the fraction of HBM bandwidth compute kernels always
@@ -485,44 +472,4 @@ func (c *Cost) Activity(r, f float64) (vec, mat, mem float64) {
 		}
 	}
 	return vec, mat, mem
-}
-
-// Utilization returns the instantaneous utilization of the vector datapath,
-// matrix datapath and memory system implied by the kernel running at the
-// given rate (work units/s). The values feed the power model.
-func Utilization(d Desc, g *hw.GPUSpec, rate float64) (uVec, uMat, uMem float64) {
-	if rate <= 0 || math.IsInf(rate, 1) {
-		return 0, 0, 0
-	}
-	w := Work(d)
-	if w <= 0 {
-		return 0, 0, 0
-	}
-	dur := w / rate
-	if dur <= 0 {
-		return 0, 0, 0
-	}
-	if d.FLOPs > 0 {
-		flopRate := d.FLOPs / dur
-		if peak := g.PeakFLOPS(d.Path, d.Format); peak > 0 {
-			u := flopRate / peak
-			if u > 1 {
-				u = 1
-			}
-			switch d.Path {
-			case precision.Matrix:
-				uMat = u
-			default:
-				uVec = u
-			}
-		}
-	}
-	if d.Bytes > 0 {
-		byteRate := d.Bytes / dur
-		uMem = byteRate / g.MemBW()
-		if uMem > 1 {
-			uMem = 1
-		}
-	}
-	return uVec, uMat, uMem
 }

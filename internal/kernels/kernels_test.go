@@ -116,7 +116,8 @@ func TestBaseTimeRoofline(t *testing.T) {
 func TestRateContentionMonotonic(t *testing.T) {
 	g := hw.MI250()
 	d := GEMM("d", 4096, 4096, 4096, 1, precision.FP16, precision.Matrix)
-	base := Rate(d, g, 1, 0, 0, 0)
+	c := d.CostOn(g)
+	base := c.Rate(1, 0, 0, 0)
 	cases := []struct {
 		name               string
 		freq, sm, hbm, ser float64
@@ -127,13 +128,13 @@ func TestRateContentionMonotonic(t *testing.T) {
 		{"throttle", 0.5, 0, 0, 0},
 		{"all", 0.5, 32, 1e12, 0.4},
 	}
-	for _, c := range cases {
-		r := Rate(d, g, c.freq, c.sm, c.hbm, c.ser)
+	for _, tc := range cases {
+		r := c.Rate(tc.freq, tc.sm, tc.hbm, tc.ser)
 		if r > base {
-			t.Errorf("%s: contended rate %g exceeds base %g", c.name, r, base)
+			t.Errorf("%s: contended rate %g exceeds base %g", tc.name, r, base)
 		}
 		if r <= 0 {
-			t.Errorf("%s: rate must stay positive, got %g", c.name, r)
+			t.Errorf("%s: rate must stay positive, got %g", tc.name, r)
 		}
 	}
 }
@@ -142,7 +143,7 @@ func TestMemoryFloorGuaranteesProgress(t *testing.T) {
 	g := hw.A100()
 	d := Elementwise("e", 1e8, 1, 0, precision.FP16)
 	// Absurd HBM steal: the floor keeps the kernel moving.
-	r := Rate(d, g, 1, 0, 1e15, 0)
+	r := d.CostOn(g).Rate(1, 0, 1e15, 0)
 	if r <= 0 || math.IsInf(r, 1) {
 		t.Errorf("rate under total bandwidth steal = %g", r)
 	}
@@ -167,18 +168,27 @@ func TestWork(t *testing.T) {
 	}
 }
 
+// TestUtilizationBounds checks Cost.Activity, the datapath and memory
+// utilizations the power model reads: each lies in [0,1] at the
+// contention-free rate, a matrix GEMM shows matrix activity, and a
+// stalled (r = 0) or instantaneous (r = +Inf) kernel shows none.
 func TestUtilizationBounds(t *testing.T) {
 	g := hw.H100()
 	d := GEMM("d", 4096, 4096, 4096, 1, precision.FP16, precision.Matrix)
-	r := BaseRate(d, g)
-	uv, um, umem := Utilization(d, g, r)
-	for _, u := range []float64{uv, um, umem} {
+	c := d.CostOn(g)
+	vec, mat, mem := c.Activity(c.Rate(1, 0, 0, 0), 1)
+	for _, u := range []float64{vec, mat, mem} {
 		if u < 0 || u > 1 {
-			t.Errorf("utilization out of [0,1]: %g %g %g", uv, um, umem)
+			t.Errorf("activity out of [0,1]: %g %g %g", vec, mat, mem)
 		}
 	}
-	if um <= 0 {
-		t.Error("matrix GEMM should show matrix utilization")
+	if mat <= 0 {
+		t.Error("matrix GEMM should show matrix activity")
+	}
+	for _, r := range []float64{0, math.Inf(1)} {
+		if vec, mat, mem := c.Activity(r, 1); vec != 0 || mat != 0 || mem != 0 {
+			t.Errorf("activity at rate %g = %g %g %g, want zeros", r, vec, mat, mem)
+		}
 	}
 }
 
@@ -199,7 +209,8 @@ func TestQuickRateMonotone(t *testing.T) {
 		if e1 > e2 {
 			e1, e2 = e2, e1
 		}
-		return Rate(d, g, 1, s2, h2, e2) <= Rate(d, g, 1, s1, h1, e1)+1e-6
+		c := d.CostOn(g)
+		return c.Rate(1, s2, h2, e2) <= c.Rate(1, s1, h1, e1)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

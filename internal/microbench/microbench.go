@@ -135,7 +135,7 @@ func runOnce(cfg Config, overlap bool) (*runResult, error) {
 	}
 
 	tl := trace.FromTasks(gemms)
-	total := tl.KernelTime(0, sim.KindCompute)
+	total, _, _, _ := tl.DeviceOverlap(0)
 	return &runResult{
 		meanGEMM: total / float64(cfg.Repeats),
 		power:    cl.PowerStats(0),

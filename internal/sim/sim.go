@@ -131,9 +131,6 @@ func (t *Task) End() float64 { return t.end }
 // Done reports whether the task has finished.
 func (t *Task) Done() bool { return t.st == stateDone }
 
-// Running reports whether the task is currently executing.
-func (t *Task) Running() bool { return t.st == stateRunning }
-
 // After declares that t must not start before each of deps has finished.
 // It must be called before Engine.Run.
 func (t *Task) After(deps ...*Task) *Task {

@@ -29,9 +29,6 @@ type Class struct {
 	Members []int
 }
 
-// Rep returns the class representative (the lowest member device).
-func (c Class) Rep() int { return c.Members[0] }
-
 // DetectClasses partitions the devices that own streams into symmetry
 // classes. Two devices land in one class only when they carry the same
 // streams with the same task queues — task kind, work, payload (compared

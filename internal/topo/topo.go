@@ -54,7 +54,7 @@ type Tier struct {
 	Ranks int
 	// BW is the achievable per-direction ring bandwidth in bytes/s.
 	BW float64
-	// StepLatency is the latency of one ring/tree step in seconds.
+	// StepLatency is the latency of one ring step in seconds.
 	StepLatency float64
 }
 

@@ -2,10 +2,7 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"overlapsim/internal/sim"
 )
 
 // chromeEvent is one complete ("X" phase) event in the Chrome trace-event
@@ -38,31 +35,7 @@ func (tl *Timeline) WriteChrome(w io.Writer) error {
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	if _, err := fmt.Fprint(w, ""); err != nil {
-		return err
-	}
-	return enc.Encode(struct {
+	return json.NewEncoder(w).Encode(struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
 	}{events})
-}
-
-// ReadChromeEventCount is a test helper that decodes a Chrome trace and
-// returns the number of events of each kind.
-func ReadChromeEventCount(r io.Reader) (compute, comm int, err error) {
-	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return 0, 0, err
-	}
-	for _, e := range doc.TraceEvents {
-		switch e.Tid {
-		case sim.KindCompute.String():
-			compute++
-		case sim.KindComm.String():
-			comm++
-		}
-	}
-	return compute, comm, nil
 }

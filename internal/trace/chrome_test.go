@@ -2,10 +2,32 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"overlapsim/internal/sim"
 )
+
+// ReadChromeEventCount decodes a Chrome trace and returns the number of
+// events of each kind.
+func ReadChromeEventCount(r io.Reader) (compute, comm int, err error) {
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return 0, 0, err
+	}
+	for _, e := range doc.TraceEvents {
+		switch e.Tid {
+		case sim.KindCompute.String():
+			compute++
+		case sim.KindComm.String():
+			comm++
+		}
+	}
+	return compute, comm, nil
+}
 
 func TestWriteChromeRoundTrip(t *testing.T) {
 	tl := timelineOf(
@@ -28,7 +50,7 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 
 func TestWriteChromeEmpty(t *testing.T) {
 	var b bytes.Buffer
-	if err := New().WriteChrome(&b); err != nil {
+	if err := FromTasks(nil).WriteChrome(&b); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadChromeEventCount(&b); err != nil {

