@@ -22,6 +22,7 @@ import (
 	"overlapsim/internal/model"
 	"overlapsim/internal/power"
 	"overlapsim/internal/precision"
+	"overlapsim/internal/sweep"
 	"overlapsim/internal/workload"
 )
 
@@ -52,21 +53,22 @@ func BenchmarkTable2Workloads(b *testing.B) {
 
 // runPoints executes a grid once per benchmark iteration and reports
 // slowdown aggregates.
-func runPoints(b *testing.B, cfgs []core.Config) []workload.Point {
+func runPoints(b *testing.B, cfgs []core.Config) []sweep.Point {
 	b.Helper()
-	var pts []workload.Point
+	var res *sweep.Result
 	for i := 0; i < b.N; i++ {
-		pts = workload.RunGrid(context.Background(), cfgs)
-	}
-	for _, p := range pts {
-		if p.Err != nil {
-			b.Fatal(p.Err)
+		var err error
+		if res, err = (&sweep.Runner{}).Run(context.Background(), cfgs); err != nil {
+			b.Fatal(err)
 		}
 	}
-	return pts
+	if err := res.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return res.Points
 }
 
-func reportSlowdowns(b *testing.B, pts []workload.Point) {
+func reportSlowdowns(b *testing.B, pts []sweep.Point) {
 	b.Helper()
 	var slows, ratios []float64
 	for _, p := range pts {
@@ -194,19 +196,13 @@ func BenchmarkFigure8Microbench(b *testing.B) {
 // BenchmarkFigure9PowerCap regenerates Fig. 9: the power-cap sweep on
 // A100x4, reporting the execution-time increase at the strictest cap.
 func BenchmarkFigure9PowerCap(b *testing.B) {
-	var pts []workload.Point
-	for i := 0; i < b.N; i++ {
-		pts = workload.RunGrid(context.Background(), workload.Figure9())
-	}
+	pts := runPoints(b, workload.Figure9())
 	var base, strict float64
 	for _, p := range pts {
-		if p.Err != nil {
-			b.Fatal(p.Err)
-		}
-		if p.Cfg.Caps.PowerW == 0 {
+		if p.Config.Caps.PowerW == 0 {
 			base = p.Res.Overlapped.Mean.E2E
 		}
-		if p.Cfg.Caps.PowerW == 100 {
+		if p.Config.Caps.PowerW == 100 {
 			strict = p.Res.Overlapped.Mean.E2E
 		}
 	}
@@ -229,7 +225,7 @@ func BenchmarkFigure11TensorCores(b *testing.B) {
 
 // reportPairDelta reports the mean slowdown increase of the second variant
 // of each (baseline, ablated) pair.
-func reportPairDelta(b *testing.B, pts []workload.Point) {
+func reportPairDelta(b *testing.B, pts []sweep.Point) {
 	b.Helper()
 	var deltas []float64
 	for i := 0; i+1 < len(pts); i += 2 {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"overlapsim/internal/hw"
 	"overlapsim/internal/microbench"
@@ -24,7 +23,7 @@ func main() {
 	var (
 		gpuName  = flag.String("gpu", "H100", "GPU model: A100, H100, MI210, MI250")
 		n        = flag.Int("n", 4, "number of GPUs")
-		format   = flag.String("format", "fp16", "GEMM format: fp32, tf32, fp16")
+		format   = flag.String("format", "fp16", "GEMM format: fp32, tf32, fp16, bf16")
 		vector   = flag.Bool("vector-only", false, "disable matrix units")
 		powerCap = flag.Float64("powercap", 0, "power cap in watts")
 	)
@@ -34,16 +33,12 @@ func main() {
 	if g == nil {
 		log.Fatalf("unknown GPU %q", *gpuName)
 	}
-	var f precision.Format
-	switch strings.ToLower(*format) {
-	case "fp32":
-		f = precision.FP32
-	case "tf32":
-		f = precision.TF32
-	case "fp16":
-		f = precision.FP16
-	default:
-		log.Fatalf("unknown format %q", *format)
+	if *n < 1 {
+		log.Fatalf("invalid GPU count %d", *n)
+	}
+	f, err := precision.Parse(*format)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	headers := []string{"N", "Isolated(ms)", "Overlapped(ms)", "Slowdown",

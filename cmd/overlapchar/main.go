@@ -16,6 +16,11 @@
 //
 //	overlapchar -hw-file my_gpus.json -system MyPod -model "GPT-3 13B"
 //	overlapchar -gpu H100 -n 8 -nodes 4 -model "GPT-3 13B" -batch 64
+//
+// The flags resolve through sweep.Experiment, so they take the same
+// defaults and checks as a sweep spec or an API request: -n 0 and
+// -batch 0 select the paper's base configuration (4 GPUs, batch 8), and
+// a negative count, batch, degree or cap is an error.
 package main
 
 import (
@@ -28,10 +33,8 @@ import (
 
 	"overlapsim/internal/core"
 	"overlapsim/internal/hw"
-	"overlapsim/internal/model"
-	"overlapsim/internal/power"
-	"overlapsim/internal/precision"
 	"overlapsim/internal/strategy"
+	"overlapsim/internal/sweep"
 )
 
 func main() {
@@ -63,49 +66,26 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var sys hw.System
-	if *sysName != "" {
-		var err error
-		sys, err = hw.SystemByName(*sysName)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		g, err := hw.GPUByName(*gpuName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *nodes > 1 {
-			sys = hw.NewMultiNode(g, *n, *nodes)
-		} else {
-			sys = hw.NewSystem(g, *n)
-		}
-	}
-	m, err := model.ByName(*modelNm)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := precision.Parse(*format)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p, err := core.ParseParallelism(*par)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	cfg := core.Config{
-		System:       sys,
-		Model:        m,
-		Parallelism:  p,
+	exp := sweep.Experiment{
+		System:       *sysName,
+		Model:        *modelNm,
+		Parallelism:  *par,
 		Batch:        *batch,
 		MicroBatch:   *micro,
 		TPDegree:     *tpDeg,
-		Format:       f,
-		MatrixUnits:  !*vector,
+		Format:       *format,
+		VectorOnly:   *vector,
 		NoCheckpoint: *noCkpt,
 		Iterations:   *iters,
-		Caps:         power.Caps{PowerW: *powerCap, FreqFactor: *freqCap},
+		PowerCapW:    *powerCap,
+		FreqCap:      *freqCap,
+	}
+	if *sysName == "" {
+		exp.GPU, exp.GPUCount, exp.Nodes = *gpuName, *n, *nodes
+	}
+	cfg, err := exp.Config()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	res, err := core.Run(context.Background(), cfg)

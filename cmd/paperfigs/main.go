@@ -17,6 +17,7 @@ import (
 	"overlapsim/internal/exec"
 	"overlapsim/internal/power"
 	"overlapsim/internal/report"
+	"overlapsim/internal/sweep"
 	"overlapsim/internal/workload"
 )
 
@@ -39,25 +40,22 @@ func main() {
 		check(report.Table2(w))
 	}
 
-	var mainPts []workload.Point
+	var mainPts []sweep.Point
 	needMain := want("fig4") || want("fig5") || want("fig6") || want("headline")
 	if needMain {
 		log.Println("running main evaluation grid (Figures 4-6)...")
-		mainPts = workload.RunGrid(context.Background(), workload.MainGrid())
-		reportErrors(mainPts)
+		mainPts = runGrid(workload.MainGrid())
 	}
 
 	if want("fig1a") {
 		section(w, "Figure 1(a) — overlapped computation, FSDP on H100x8")
-		pts := workload.RunGrid(context.Background(), workload.Figure1a())
-		reportErrors(pts)
+		pts := runGrid(workload.Figure1a())
 		check(report.OverlapFigure(w, pts))
 		writeCSV(*outDir, "fig1a.csv", pts)
 	}
 	if want("fig1b") {
 		section(w, "Figure 1(b) — overlapped computation, PP GPT-3 2.7B on A100x4")
-		pts := workload.RunGrid(context.Background(), workload.Figure1b())
-		reportErrors(pts)
+		pts := runGrid(workload.Figure1b())
 		check(report.OverlapFigure(w, pts))
 		writeCSV(*outDir, "fig1b.csv", pts)
 	}
@@ -80,24 +78,21 @@ func main() {
 	}
 	if want("fig9") {
 		section(w, "Figure 9 — impact of power capping (A100x4)")
-		pts := workload.RunGrid(context.Background(), workload.Figure9())
-		reportErrors(pts)
+		pts := runGrid(workload.Figure9())
 		check(report.PowerCapFigure(w, pts))
 	}
 	if want("fig10") {
 		section(w, "Figure 10 — numeric precision (FP32 vs FP16), H100x4")
-		pts := workload.RunGrid(context.Background(), workload.Figure10())
-		reportErrors(pts)
-		check(report.AblationFigure(w, pts, func(p workload.Point) string {
-			return p.Cfg.Format.String()
+		pts := runGrid(workload.Figure10())
+		check(report.AblationFigure(w, pts, func(p sweep.Point) string {
+			return p.Config.Format.String()
 		}))
 	}
 	if want("fig11") {
 		section(w, "Figure 11 — Tensor Core utilization (FP32 vs TF32), H100x4")
-		pts := workload.RunGrid(context.Background(), workload.Figure11())
-		reportErrors(pts)
-		check(report.AblationFigure(w, pts, func(p workload.Point) string {
-			if p.Cfg.MatrixUnits {
+		pts := runGrid(workload.Figure11())
+		check(report.AblationFigure(w, pts, func(p sweep.Point) string {
+			if p.Config.MatrixUnits {
 				return "TF32 tensor core"
 			}
 			return "FP32 general"
@@ -176,7 +171,7 @@ func printTraceSummary(w *os.File, tr []power.Sample, tdp float64) {
 	check(report.Table(w, headers, rows))
 }
 
-func writeCSV(dir, name string, pts []workload.Point) {
+func writeCSV(dir, name string, pts []sweep.Point) {
 	if dir == "" {
 		return
 	}
@@ -196,8 +191,8 @@ func writeCSV(dir, name string, pts []workload.Point) {
 		"avg_tdp", "peak_tdp", "status"}
 	var rows [][]string
 	for _, p := range pts {
-		row := []string{p.Cfg.System.Name, p.Cfg.Parallelism.String(), p.Cfg.Model.Name,
-			fmt.Sprintf("%d", p.Cfg.Batch), p.Cfg.Format.String()}
+		row := []string{p.Config.System.Name, p.Config.Parallelism.String(), p.Config.Model.Name,
+			fmt.Sprintf("%d", p.Config.Batch), p.Config.Format.String()}
 		if p.Res != nil {
 			row = append(row,
 				fmt.Sprintf("%.4f", p.Res.Char.OverlapRatio),
@@ -208,7 +203,7 @@ func writeCSV(dir, name string, pts []workload.Point) {
 				fmt.Sprintf("%.3f", p.Res.Overlapped.AvgTDP),
 				fmt.Sprintf("%.3f", p.Res.Overlapped.PeakTDP),
 				"ok")
-		} else if p.Skipped() {
+		} else if p.OOM != nil {
 			row = append(row, "", "", "", "", "", "", "", "oom")
 		} else {
 			row = append(row, "", "", "", "", "", "", "", "error")
@@ -222,12 +217,17 @@ func writeCSV(dir, name string, pts []workload.Point) {
 	log.Printf("wrote %s", path)
 }
 
-func reportErrors(pts []workload.Point) {
-	for _, p := range pts {
+// runGrid runs one grid through the sweep runner and logs every failed
+// point; OOM points stay in the result for the figures to mark.
+func runGrid(cfgs []core.Config) []sweep.Point {
+	res, err := (&sweep.Runner{}).Run(context.Background(), cfgs)
+	check(err)
+	for _, p := range res.Points {
 		if p.Err != nil {
-			log.Printf("error: %v", p.Err)
+			log.Printf("error: %s: %v", p.Config.Label(), p.Err)
 		}
 	}
+	return res.Points
 }
 
 func section(w *os.File, title string) {

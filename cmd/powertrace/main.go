@@ -14,10 +14,8 @@ import (
 
 	"overlapsim/internal/core"
 	"overlapsim/internal/exec"
-	"overlapsim/internal/hw"
-	"overlapsim/internal/model"
 	"overlapsim/internal/power"
-	"overlapsim/internal/precision"
+	"overlapsim/internal/workload"
 )
 
 func main() {
@@ -30,15 +28,8 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := core.Config{
-		System:        hw.SystemMI250x4(),
-		Model:         model.LLaMA2_13B(),
-		Parallelism:   "fsdp",
-		Batch:         8,
-		Format:        precision.FP16,
-		MatrixUnits:   true,
-		TraceInterval: *interval / 1e3,
-	}
+	cfg := workload.Figure7()
+	cfg.TraceInterval = *interval / 1e3
 	res, err := core.RunMode(context.Background(), cfg, exec.Overlapped)
 	if err != nil {
 		log.Fatal(err)

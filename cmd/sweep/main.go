@@ -108,7 +108,7 @@ example specs:
 		log.Fatalf("sweep aborted: %v", err)
 	}
 
-	rows := sweep.Rows(res)
+	rows := report.Rows(res)
 	if !*quiet {
 		if err := report.SweepTable(os.Stdout, rows); err != nil {
 			log.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"overlapsim/internal/model"
 	"overlapsim/internal/precision"
 	"overlapsim/internal/report"
+	"overlapsim/internal/sweep"
 	"overlapsim/internal/workload"
 )
 
@@ -46,15 +47,18 @@ func main() {
 	}
 
 	fmt.Printf("FSDP characterization on %sx%d (FP16, matrix units)\n\n", g.Name, *n)
-	pts := workload.RunGrid(context.Background(), cfgs)
+	res, err := (&sweep.Runner{}).Run(context.Background(), cfgs)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	headers := []string{"Model", "Batch", "Slowdown", "Overlap",
 		"Ideal(ms)", "Overlapped(ms)", "Sequential(ms)", "SeqPenalty"}
 	var rows [][]string
-	for _, p := range pts {
-		row := []string{p.Cfg.Model.Name, fmt.Sprintf("%d", p.Cfg.Batch)}
+	for _, p := range res.Points {
+		row := []string{p.Config.Model.Name, fmt.Sprintf("%d", p.Config.Batch)}
 		switch {
-		case p.Skipped():
+		case p.OOM != nil:
 			row = append(row, "OOM", "-", "-", "-", "-", "-")
 		case p.Err != nil:
 			log.Fatal(p.Err)

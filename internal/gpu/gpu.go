@@ -40,9 +40,6 @@ type Config struct {
 	System hw.System
 	// Caps are the power/frequency limits applied to every GPU.
 	Caps power.Caps
-	// SamplerInterval overrides the vendor-default telemetry interval
-	// (seconds); zero selects NVML 100 ms or AMD-SMI 20 ms by vendor.
-	SamplerInterval float64
 	// TraceInterval, when nonzero, additionally records a fine-grained
 	// power trace at this interval (Fig. 7 uses 1 ms).
 	TraceInterval float64
@@ -176,10 +173,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	n := cfg.System.TotalGPUs()
-	interval := cfg.SamplerInterval
-	if interval <= 0 {
-		interval = power.SamplerIntervalFor(cfg.System.GPU.Vendor)
-	}
+	interval := power.SamplerIntervalFor(cfg.System.GPU.Vendor)
 	c := &Cluster{
 		cfg:    cfg,
 		n:      n,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"overlapsim/internal/core"
+	"overlapsim/internal/report"
 	"overlapsim/internal/sweep"
 )
 
@@ -457,7 +458,7 @@ func (st *searchState) advice(q *Query, objs []Objective, minIdx int, front []in
 	}
 	for _, id := range front {
 		ev := st.evals[id]
-		row := sweep.Row(&ev.pt)
+		row := report.Row(&ev.pt)
 		// Normalize cache provenance out of the advice bytes.
 		if row.Status == "hit" {
 			row.Status = "ok"

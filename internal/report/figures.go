@@ -7,7 +7,7 @@ import (
 	"overlapsim/internal/hw"
 	"overlapsim/internal/metrics"
 	"overlapsim/internal/model"
-	"overlapsim/internal/workload"
+	"overlapsim/internal/sweep"
 )
 
 // Table1 renders the paper's Table I (evaluated GPUs) from the catalog.
@@ -37,13 +37,13 @@ func Table2(w io.Writer) error {
 }
 
 // pointHeaderCells are the identifying columns shared by grid renderers.
-func pointCells(p workload.Point) []string {
+func pointCells(p sweep.Point) []string {
 	return []string{
-		p.Cfg.System.Name,
-		p.Cfg.Parallelism.String(),
-		p.Cfg.Model.Name,
-		fmt.Sprintf("%d", p.Cfg.Batch),
-		p.Cfg.Format.String(),
+		p.Config.System.Name,
+		p.Config.Parallelism.String(),
+		p.Config.Model.Name,
+		fmt.Sprintf("%d", p.Config.Batch),
+		p.Config.Format.String(),
 	}
 }
 
@@ -51,13 +51,13 @@ const oomCell = "OOM"
 
 // OverlapFigure renders a Fig. 1-style series: overlap ratio and the
 // absolute amount of overlapped computation per configuration.
-func OverlapFigure(w io.Writer, pts []workload.Point) error {
+func OverlapFigure(w io.Writer, pts []sweep.Point) error {
 	headers := []string{"System", "Par", "Model", "Batch", "Fmt",
 		"OverlapRatio", "OverlappedCompute(ms)", "Compute(ms)", "Comm(ms)"}
 	var rows [][]string
 	for _, p := range pts {
 		row := pointCells(p)
-		if p.Skipped() {
+		if p.OOM != nil {
 			row = append(row, oomCell, oomCell, oomCell, oomCell)
 		} else if p.Res != nil {
 			m := p.Res.Overlapped.Mean
@@ -76,13 +76,13 @@ func OverlapFigure(w io.Writer, pts []workload.Point) error {
 
 // SlowdownFigure renders the Fig. 4 series: compute slowdown (Eq. 1) per
 // configuration, with the overlap ratio for context.
-func SlowdownFigure(w io.Writer, pts []workload.Point) error {
+func SlowdownFigure(w io.Writer, pts []sweep.Point) error {
 	headers := []string{"System", "Par", "Model", "Batch", "Fmt",
 		"ComputeSlowdown", "OverlapRatio"}
 	var rows [][]string
 	for _, p := range pts {
 		row := pointCells(p)
-		if p.Skipped() {
+		if p.OOM != nil {
 			row = append(row, oomCell, oomCell)
 		} else if p.Res != nil {
 			row = append(row, Pct(p.Res.Char.ComputeSlowdown), Pct(p.Res.Char.OverlapRatio))
@@ -96,13 +96,13 @@ func SlowdownFigure(w io.Writer, pts []workload.Point) error {
 
 // E2EFigure renders the Fig. 5 series: ideal, overlapped and sequential
 // end-to-end iteration latency.
-func E2EFigure(w io.Writer, pts []workload.Point) error {
+func E2EFigure(w io.Writer, pts []sweep.Point) error {
 	headers := []string{"System", "Par", "Model", "Batch", "Fmt",
 		"Ideal(ms)", "Overlapped(ms)", "Sequential(ms)", "SeqPenalty", "IdealGap"}
 	var rows [][]string
 	for _, p := range pts {
 		row := pointCells(p)
-		if p.Skipped() {
+		if p.OOM != nil {
 			row = append(row, oomCell, oomCell, oomCell, oomCell, oomCell)
 		} else if p.Res != nil {
 			c := p.Res.Char
@@ -122,13 +122,13 @@ func E2EFigure(w io.Writer, pts []workload.Point) error {
 
 // PowerFigure renders the Fig. 6 series: average and peak power (TDP
 // normalized) for overlapped and sequential execution.
-func PowerFigure(w io.Writer, pts []workload.Point) error {
+func PowerFigure(w io.Writer, pts []sweep.Point) error {
 	headers := []string{"System", "Par", "Model", "Batch", "Fmt",
 		"AvgOvl(TDP)", "PeakOvl(TDP)", "AvgSeq(TDP)", "PeakSeq(TDP)", "EnergyOvl(kJ)"}
 	var rows [][]string
 	for _, p := range pts {
 		row := pointCells(p)
-		if p.Skipped() {
+		if p.OOM != nil {
 			row = append(row, oomCell, oomCell, oomCell, oomCell, oomCell)
 		} else if p.Res != nil {
 			row = append(row,
@@ -145,7 +145,7 @@ func PowerFigure(w io.Writer, pts []workload.Point) error {
 
 // PowerCapFigure renders the Fig. 9 series: execution time and compute
 // slowdown versus power cap.
-func PowerCapFigure(w io.Writer, pts []workload.Point) error {
+func PowerCapFigure(w io.Writer, pts []sweep.Point) error {
 	headers := []string{"Cap(W)", "E2EOvl(ms)", "E2ESeq(ms)", "ComputeSlowdown", "AvgOvl(TDP)", "FreqNote"}
 	var rows [][]string
 	var base float64
@@ -154,8 +154,8 @@ func PowerCapFigure(w io.Writer, pts []workload.Point) error {
 			continue
 		}
 		cap := "none"
-		if p.Cfg.Caps.PowerW > 0 {
-			cap = F(p.Cfg.Caps.PowerW, 0)
+		if p.Config.Caps.PowerW > 0 {
+			cap = F(p.Config.Caps.PowerW, 0)
 		}
 		if base == 0 {
 			base = p.Res.Overlapped.Mean.E2E
@@ -175,12 +175,12 @@ func PowerCapFigure(w io.Writer, pts []workload.Point) error {
 
 // AblationFigure renders the Fig. 10/11 series: pairs of configurations
 // (baseline vs. ablated) with slowdown and power.
-func AblationFigure(w io.Writer, pts []workload.Point, variantName func(p workload.Point) string) error {
+func AblationFigure(w io.Writer, pts []sweep.Point, variantName func(p sweep.Point) string) error {
 	headers := []string{"Model", "Batch", "Variant", "ComputeSlowdown", "OverlapRatio", "AvgPower(TDP)", "PeakPower(TDP)"}
 	var rows [][]string
 	for _, p := range pts {
-		row := []string{p.Cfg.Model.Name, fmt.Sprintf("%d", p.Cfg.Batch), variantName(p)}
-		if p.Skipped() {
+		row := []string{p.Config.Model.Name, fmt.Sprintf("%d", p.Config.Batch), variantName(p)}
+		if p.OOM != nil {
 			row = append(row, oomCell, oomCell, oomCell, oomCell)
 		} else if p.Res != nil {
 			row = append(row,
@@ -198,7 +198,7 @@ func AblationFigure(w io.Writer, pts []workload.Point, variantName func(p worklo
 
 // Headline summarizes the paper's abstract-level aggregates over a grid:
 // mean/max compute slowdown and mean/max sequential penalty.
-func Headline(w io.Writer, pts []workload.Point) error {
+func Headline(w io.Writer, pts []sweep.Point) error {
 	var slow, seqPen []float64
 	for _, p := range pts {
 		if p.Res == nil {

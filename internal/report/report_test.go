@@ -9,7 +9,7 @@ import (
 	"overlapsim/internal/hw"
 	"overlapsim/internal/model"
 	"overlapsim/internal/precision"
-	"overlapsim/internal/workload"
+	"overlapsim/internal/sweep"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -88,22 +88,27 @@ func TestTable2MatchesZoo(t *testing.T) {
 	}
 }
 
-func samplePoints(t *testing.T) []workload.Point {
+func samplePoints(t *testing.T) []sweep.Point {
 	t.Helper()
 	tiny := model.Config{Name: "tiny", Arch: model.GPT3, NominalParams: 1e8,
 		Layers: 4, Heads: 4, Hidden: 256, FFN: 1024, Vocab: 2048, SeqLen: 128}
-	ok := workload.RunPoint(context.Background(), core.Config{
+	res, err := (&sweep.Runner{}).Run(context.Background(), []core.Config{{
 		System: hw.SystemH100x4(), Model: tiny, Parallelism: "fsdp",
 		Batch: 8, Format: precision.FP16, MatrixUnits: true,
-	})
-	if ok.Err != nil {
-		t.Fatal(ok.Err)
-	}
-	oom := workload.RunPoint(context.Background(), core.Config{
+	}, {
 		System: hw.SystemA100x4(), Model: model.GPT3_13B(), Parallelism: "fsdp",
 		Batch: 8, Format: precision.FP16, MatrixUnits: true,
-	})
-	return []workload.Point{ok, oom}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok := res.Points[0]; ok.Res == nil {
+		t.Fatalf("tiny point failed: %v", ok.Err)
+	}
+	if oom := res.Points[1]; oom.OOM == nil {
+		t.Fatalf("13B on A100 not classified OOM: %v", oom.Err)
+	}
+	return res.Points
 }
 
 func TestFigureRenderersHandleOOM(t *testing.T) {
@@ -143,11 +148,51 @@ func TestHeadline(t *testing.T) {
 func TestAblationFigure(t *testing.T) {
 	pts := samplePoints(t)
 	var b strings.Builder
-	err := AblationFigure(&b, pts, func(p workload.Point) string { return p.Cfg.Format.String() })
+	err := AblationFigure(&b, pts, func(p sweep.Point) string { return p.Config.Format.String() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "FP16") {
 		t.Error("variant column missing")
+	}
+}
+
+func TestRowsAndAggregate(t *testing.T) {
+	spec := &sweep.Spec{
+		GPUs:         []string{"H100", "MI250"},
+		Models:       []string{"GPT-3 XL"},
+		Parallelisms: []string{"fsdp", "pp"},
+		Formats:      []string{"fp16"},
+		Batches:      []int{8},
+	}
+	res, err := (&sweep.Runner{Cache: sweep.NewMemCache()}).RunSpec(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := Rows(res)
+	if len(rows) != len(res.Points) {
+		t.Fatalf("%d rows for %d points", len(rows), len(res.Points))
+	}
+	for _, r := range rows {
+		if r.Status != "ok" {
+			t.Errorf("row %q status %q", r.Label, r.Status)
+		}
+		if r.E2EOvl <= 0 || r.E2ESeq <= 0 {
+			t.Errorf("row %q has empty metrics", r.Label)
+		}
+	}
+	agg := AggregateSweep(rows)
+	if agg.Points != 4 || agg.OK != 4 || agg.Hits != 0 {
+		t.Errorf("aggregate %+v", agg)
+	}
+	if !strings.Contains(agg.String(), "4 points: 4 ok") {
+		t.Errorf("aggregate string %q", agg.String())
+	}
+	var sb strings.Builder
+	if err := SweepTable(&sb, rows); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "H100x4 FSDP GPT-3 XL bs=8 FP16") {
+		t.Errorf("table missing config label:\n%s", sb.String())
 	}
 }

@@ -3,6 +3,8 @@ package report
 import (
 	"fmt"
 	"io"
+
+	"overlapsim/internal/sweep"
 )
 
 // SweepRow is one rendered sweep point: the characterization metrics the
@@ -39,6 +41,52 @@ type SweepRow struct {
 	// a point's latency to how much scheduling work the simulation did.
 	Tasks  int
 	Epochs int64
+}
+
+// Rows converts a sweep result into report rows, in grid order.
+func Rows(res *sweep.Result) []SweepRow {
+	rows := make([]SweepRow, len(res.Points))
+	for i := range res.Points {
+		rows[i] = Row(&res.Points[i])
+	}
+	return rows
+}
+
+// Row renders one point into the shared report row schema — the same
+// schema advisor frontiers render through, so sweep tables and frontier
+// tables stay column-compatible.
+func Row(p *sweep.Point) SweepRow {
+	r := SweepRow{Label: p.Config.Label()}
+	switch {
+	case p.OOM != nil:
+		r.Status = "OOM"
+		r.Detail = p.OOM.Error()
+	case p.Err != nil:
+		r.Status = "error"
+		r.Detail = p.Err.Error()
+	case p.Res == nil:
+		r.Status = "error"
+		r.Detail = p.ErrString
+	default:
+		r.Status = "ok"
+		if p.CacheHit {
+			r.Status = "hit"
+		}
+		c := p.Res.Char
+		r.E2EOvl = p.Res.Overlapped.Mean.E2E
+		r.E2ESeq = p.Res.Sequential.Mean.E2E
+		r.SeqPenalty = c.SeqPenalty
+		r.OverlapRatio = c.OverlapRatio
+		r.ComputeSlowdown = c.ComputeSlowdown
+		r.AvgTDP = p.Res.Overlapped.AvgTDP
+		r.PeakTDP = p.Res.Overlapped.PeakTDP
+		r.EnergyJ = p.Res.Overlapped.EnergyJ
+		r.AvgPowerW, _ = p.BoardPowerW()
+		r.EnergyPerIterJ, _ = p.EnergyPerIterJ()
+		r.Tasks = p.Res.Overlapped.Engine.Tasks
+		r.Epochs = p.Res.Overlapped.Engine.Epochs
+	}
+	return r
 }
 
 // ok reports whether the row carries metrics (computed or cached).

@@ -139,7 +139,7 @@ func (s *Server) recoverFinished(sub, fin *store.Record) {
 			break
 		}
 		j.res = &res
-		j.aggregate = report.AggregateSweep(sweep.Rows(&res)).String()
+		j.aggregate = report.AggregateSweep(report.Rows(&res)).String()
 		j.completed = len(res.Points)
 		j.hits = res.CacheHits
 		j.coalesced = res.Coalesced

@@ -440,7 +440,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", pt.Err)
 		return
 	}
-	rows := sweep.Rows(res)
+	rows := report.Rows(res)
 	writeJSON(w, http.StatusOK, experimentBody{Point: pt, Summary: rows[0]})
 }
 
@@ -513,7 +513,7 @@ func (s *Server) launchSweep(j *job, name string, cfgs []core.Config) {
 		res.Name = name
 		// Snapshot the final counters and aggregate once; the result is
 		// immutable from here on, so polls serve the snapshot.
-		aggregate := report.AggregateSweep(sweep.Rows(res)).String()
+		aggregate := report.AggregateSweep(report.Rows(res)).String()
 		completed := 0
 		for i := range res.Points {
 			if res.Points[i].Key != "" { // dispatched (fingerprinted) points

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"overlapsim/internal/core"
-	"overlapsim/internal/report"
 )
 
 // testSpec is a small but multi-axis grid of real catalog entries.
@@ -181,6 +180,8 @@ func TestSpecExpansionErrors(t *testing.T) {
 		"bad cap":     {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, PowerCapsW: []float64{-5}},
 		"bad gpus n":  {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, GPUCounts: []int{-2}},
 		"bad freqcap": {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{FreqCap: 1.5}},
+		"bad nodes":   {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Nodes: []int{-1}},
+		"bad tp":      {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{TPDegree: -1}},
 	}
 	for name, spec := range cases {
 		if _, _, err := spec.Expand(); err == nil {
@@ -332,6 +333,29 @@ func TestRunnerFailSoftErrorAggregation(t *testing.T) {
 	}
 }
 
+// Points come back in input order however the workers interleave.
+func TestRunnerPreservesOrder(t *testing.T) {
+	cfgs := stressGrid(3) // batches 8, 16, 24
+	res, err := (&Runner{Workers: 3}).Run(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != len(cfgs) {
+		t.Fatalf("got %d points for %d configs", len(res.Points), len(cfgs))
+	}
+	for i, p := range res.Points {
+		if p.Index != i {
+			t.Errorf("point %d has index %d", i, p.Index)
+		}
+		if p.Config.Batch != cfgs[i].Batch {
+			t.Errorf("point %d batch %d, want %d", i, p.Config.Batch, cfgs[i].Batch)
+		}
+		if p.Res == nil {
+			t.Errorf("point %d missing result: %v", i, p.Err)
+		}
+	}
+}
+
 // OOM is an expected outcome (the paper's skipped configurations), kept
 // distinct from failures.
 func TestRunnerClassifiesOOM(t *testing.T) {
@@ -380,42 +404,5 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 	if done == 0 || cancelled == 0 || done+cancelled != len(cfgs) {
 		t.Errorf("done=%d cancelled=%d of %d", done, cancelled, len(cfgs))
-	}
-}
-
-func TestRowsAndAggregate(t *testing.T) {
-	_, cfgs, err := testSpec().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := (&Runner{Cache: NewMemCache()}).Run(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := Rows(res)
-	if len(rows) != len(cfgs) {
-		t.Fatalf("%d rows for %d points", len(rows), len(cfgs))
-	}
-	for _, r := range rows {
-		if r.Status != "ok" {
-			t.Errorf("row %q status %q", r.Label, r.Status)
-		}
-		if r.E2EOvl <= 0 || r.E2ESeq <= 0 {
-			t.Errorf("row %q has empty metrics", r.Label)
-		}
-	}
-	agg := report.AggregateSweep(rows)
-	if agg.Points != len(cfgs) || agg.OK != len(cfgs) || agg.Hits != 0 {
-		t.Errorf("aggregate %+v", agg)
-	}
-	if !strings.Contains(agg.String(), "4 points: 4 ok") {
-		t.Errorf("aggregate string %q", agg.String())
-	}
-	var sb strings.Builder
-	if err := report.SweepTable(&sb, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "H100x4 FSDP GPT-3 XL bs=8 FP16") {
-		t.Errorf("table missing config label:\n%s", sb.String())
 	}
 }

@@ -1,38 +1,16 @@
 // Package workload defines the experiment grids behind every table and
-// figure of the paper's evaluation, and a parallel grid runner that
-// executes them on the simulator. Infeasible configurations (out of HBM)
-// are reported as skipped, reproducing the memory gating the paper
-// observes on the A100.
+// figure of the paper's evaluation. sweep.Runner executes them; it
+// reports infeasible configurations (out of HBM) as OOM points,
+// reproducing the memory gating the paper observes on the A100.
 package workload
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"runtime"
-	"sync"
-
 	"overlapsim/internal/core"
 	"overlapsim/internal/hw"
 	"overlapsim/internal/model"
 	"overlapsim/internal/power"
 	"overlapsim/internal/precision"
 )
-
-// Point is one grid point: a configuration plus its outcome.
-type Point struct {
-	// Cfg is the experiment configuration.
-	Cfg core.Config
-	// Res is the characterization result (nil if skipped or failed).
-	Res *core.Result
-	// OOM is non-nil when the configuration did not fit in HBM.
-	OOM *model.ErrOOM
-	// Err is any other failure.
-	Err error
-}
-
-// Skipped reports whether the point was infeasible.
-func (p Point) Skipped() bool { return p.OOM != nil }
 
 // Systems returns the four 4-GPU systems of the main evaluation grid.
 func Systems() []hw.System {
@@ -180,49 +158,4 @@ func Figure11() []core.Config {
 		}
 	}
 	return out
-}
-
-// RunGrid executes the configurations concurrently (one simulation per
-// worker) and returns points in input order.
-func RunGrid(ctx context.Context, cfgs []core.Config) []Point {
-	pts := make([]Point, len(cfgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				pts[i] = RunPoint(ctx, cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return pts
-}
-
-// RunPoint executes one configuration, classifying OOM separately.
-func RunPoint(ctx context.Context, cfg core.Config) Point {
-	res, err := core.Run(ctx, cfg)
-	pt := Point{Cfg: cfg, Res: res}
-	if err != nil {
-		var oom *model.ErrOOM
-		if errors.As(err, &oom) {
-			pt.OOM = oom
-		} else {
-			pt.Err = fmt.Errorf("workload: %s: %w", cfg.Label(), err)
-		}
-	}
-	return pt
 }

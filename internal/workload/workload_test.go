@@ -1,11 +1,9 @@
 package workload
 
 import (
-	"context"
 	"testing"
 
 	"overlapsim/internal/core"
-	"overlapsim/internal/hw"
 	"overlapsim/internal/model"
 	"overlapsim/internal/precision"
 )
@@ -82,54 +80,5 @@ func TestFigure7Config(t *testing.T) {
 	}
 	if cfg.TraceInterval <= 0 {
 		t.Error("fig7 must record a trace")
-	}
-}
-
-func tinyConfig() core.Config {
-	return core.Config{
-		System: hw.SystemH100x4(),
-		Model: model.Config{Name: "tiny", Arch: model.GPT3, NominalParams: 1e8,
-			Layers: 4, Heads: 4, Hidden: 256, FFN: 1024, Vocab: 2048, SeqLen: 128},
-		Parallelism: "fsdp",
-		Batch:       8,
-		Format:      precision.FP16,
-		MatrixUnits: true,
-	}
-}
-
-func TestRunPointOK(t *testing.T) {
-	pt := RunPoint(context.Background(), tinyConfig())
-	if pt.Err != nil || pt.Skipped() || pt.Res == nil {
-		t.Fatalf("point failed: %+v", pt.Err)
-	}
-}
-
-func TestRunPointOOMClassified(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.System = hw.SystemA100x4()
-	cfg.Model = model.GPT3_13B()
-	pt := RunPoint(context.Background(), cfg)
-	if !pt.Skipped() {
-		t.Fatalf("expected OOM classification, got err=%v res=%v", pt.Err, pt.Res != nil)
-	}
-	if pt.Err != nil {
-		t.Error("OOM must not also set Err")
-	}
-}
-
-func TestRunGridPreservesOrder(t *testing.T) {
-	cfgs := []core.Config{tinyConfig(), tinyConfig(), tinyConfig()}
-	cfgs[1].Batch = 16
-	pts := RunGrid(context.Background(), cfgs)
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for i := range pts {
-		if pts[i].Cfg.Batch != cfgs[i].Batch {
-			t.Errorf("point %d out of order", i)
-		}
-		if pts[i].Res == nil {
-			t.Errorf("point %d missing result", i)
-		}
 	}
 }
