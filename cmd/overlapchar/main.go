@@ -20,7 +20,8 @@
 // The flags resolve through sweep.Experiment, so they take the same
 // defaults and checks as a sweep spec or an API request: -n 0 and
 // -batch 0 select the paper's base configuration (4 GPUs, batch 8), and
-// a negative count, batch, degree or cap is an error.
+// a negative count, batch, micro-batch, degree, iteration count or cap
+// is an error.
 package main
 
 import (

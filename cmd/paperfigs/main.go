@@ -1,7 +1,9 @@
 // Command paperfigs regenerates every table and figure of the paper's
 // evaluation section on the simulator and prints them as text tables.
-// Use -only to restrict to one artifact (e.g. -only fig4), and -out to
-// also write CSV files.
+// Use -only to restrict to one artifact (e.g. -only fig4), and -out DIR
+// to also write the CSV series of fig1a, fig1b, fig4 and fig7 into DIR
+// (fig1a.csv, fig1b.csv, fig4.csv, fig7_trace.csv); the other artifacts
+// are text only.
 package main
 
 import (
@@ -25,8 +27,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfigs: ")
 	only := flag.String("only", "", "restrict to one artifact: table1, table2, fig1a, fig1b, fig4, fig5, fig6, fig7, fig9, fig10, fig11, headline")
-	outDir := flag.String("out", "", "directory to write CSV series into (optional)")
+	outDir := flag.String("out", "", "directory to write the fig1a, fig1b, fig4 and fig7 CSVs into (optional)")
 	flag.Parse()
+	if *outDir != "" {
+		check(os.MkdirAll(*outDir, 0o755))
+	}
 
 	want := func(name string) bool { return *only == "" || strings.EqualFold(*only, name) }
 	w := os.Stdout
@@ -51,18 +56,18 @@ func main() {
 		section(w, "Figure 1(a) — overlapped computation, FSDP on H100x8")
 		pts := runGrid(workload.Figure1a())
 		check(report.OverlapFigure(w, pts))
-		writeCSV(*outDir, "fig1a.csv", pts)
+		writePointsCSV(*outDir, "fig1a.csv", pts)
 	}
 	if want("fig1b") {
 		section(w, "Figure 1(b) — overlapped computation, PP GPT-3 2.7B on A100x4")
 		pts := runGrid(workload.Figure1b())
 		check(report.OverlapFigure(w, pts))
-		writeCSV(*outDir, "fig1b.csv", pts)
+		writePointsCSV(*outDir, "fig1b.csv", pts)
 	}
 	if want("fig4") {
 		section(w, "Figure 4 — computation slowdowns across GPUs")
 		check(report.SlowdownFigure(w, mainPts))
-		writeCSV(*outDir, "fig4.csv", mainPts)
+		writePointsCSV(*outDir, "fig4.csv", mainPts)
 	}
 	if want("fig5") {
 		section(w, "Figure 5 — end-to-end training iteration latency")
@@ -106,13 +111,9 @@ func main() {
 
 func runFig7(w *os.File, outDir string) {
 	res, err := core.RunMode(context.Background(), workload.Figure7(), exec.Overlapped)
-	if err != nil {
-		log.Printf("fig7: %v", err)
-		return
-	}
+	check(err)
 	if len(res.Traces) == 0 {
-		log.Printf("fig7: no trace recorded")
-		return
+		log.Fatal("fig7: no trace recorded")
 	}
 	tr := res.Traces[0]
 	g := workload.Figure7().System.GPU
@@ -122,18 +123,12 @@ func runFig7(w *os.File, outDir string) {
 	// the run.
 	printTraceSummary(w, tr, g.TDPW)
 	if outDir != "" {
-		path := filepath.Join(outDir, "fig7_trace.csv")
-		f, err := os.Create(path)
-		if err != nil {
-			log.Printf("fig7: %v", err)
-			return
+		rows := make([][]string, len(tr))
+		for i, s := range tr {
+			rows[i] = []string{fmt.Sprintf("%.6f", s.T), fmt.Sprintf("%.1f", s.Watts),
+				fmt.Sprintf("%.4f", s.Watts/g.TDPW)}
 		}
-		defer f.Close()
-		fmt.Fprintln(f, "t_s,watts,tdp_frac")
-		for _, s := range tr {
-			fmt.Fprintf(f, "%.6f,%.1f,%.4f\n", s.T, s.Watts, s.Watts/g.TDPW)
-		}
-		log.Printf("fig7: wrote %s", path)
+		writeCSV(outDir, "fig7_trace.csv", []string{"t_s", "watts", "tdp_frac"}, rows)
 	}
 }
 
@@ -171,21 +166,12 @@ func printTraceSummary(w *os.File, tr []power.Sample, tdp float64) {
 	check(report.Table(w, headers, rows))
 }
 
-func writeCSV(dir, name string, pts []sweep.Point) {
+// writePointsCSV writes one grid's points as a CSV file into dir; an
+// empty dir writes nothing.
+func writePointsCSV(dir, name string, pts []sweep.Point) {
 	if dir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Printf("%s: %v", name, err)
-		return
-	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		log.Printf("%s: %v", name, err)
-		return
-	}
-	defer f.Close()
 	headers := []string{"system", "parallelism", "model", "batch", "format",
 		"overlap_ratio", "compute_slowdown", "e2e_ideal_ms", "e2e_overlap_ms", "e2e_seq_ms",
 		"avg_tdp", "peak_tdp", "status"}
@@ -210,10 +196,20 @@ func writeCSV(dir, name string, pts []sweep.Point) {
 		}
 		rows = append(rows, row)
 	}
-	if err := report.CSV(f, headers, rows); err != nil {
-		log.Printf("%s: %v", name, err)
-		return
+	writeCSV(dir, name, headers, rows)
+}
+
+// writeCSV writes one CSV file into dir; any create or write error ends
+// the run.
+func writeCSV(dir, name string, headers []string, rows [][]string) {
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	check(err)
+	err = report.CSV(f, headers, rows)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	check(err)
 	log.Printf("wrote %s", path)
 }
 

@@ -58,6 +58,7 @@ example specs:
   examples/sweeps/powercap.json        power capping (Fig. 9 style)
   examples/sweeps/tp_grid.json         tensor-parallel degree x batch x precision
   examples/sweeps/multinode_grid.json  node-count scaling over the NIC tier
+  examples/sweeps/fsdp_zoo.json        FSDP over the model zoo x batch on MI250x4
 `)
 	}
 	flag.Parse()

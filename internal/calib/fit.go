@@ -85,7 +85,7 @@ func Fit(ctx context.Context, p *Profile, opts FitOptions) (*Fitted, error) {
 			p.System, baseSys.GPU.Name, p.GPU)
 	}
 
-	g := cloneSpec(base)
+	g := base.Clone()
 	f := &Fitted{
 		ProfileName: p.Name,
 		BaseGPU:     base.Name, BaseSystem: baseSys.Name,
@@ -153,26 +153,6 @@ func sameName(a, b string) bool {
 		}
 	}
 	return true
-}
-
-// cloneSpec deep-copies a GPU spec (the TFLOPS maps are the only
-// reference fields).
-func cloneSpec(g *hw.GPUSpec) *hw.GPUSpec {
-	out := *g
-	out.VectorTFLOPS = cloneMap(g.VectorTFLOPS)
-	out.MatrixTFLOPS = cloneMap(g.MatrixTFLOPS)
-	return &out
-}
-
-func cloneMap(m map[precision.Format]float64) map[precision.Format]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[precision.Format]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // effPoint is one compute-bound GEMM observation: reduction size and

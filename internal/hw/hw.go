@@ -16,6 +16,7 @@ package hw
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"overlapsim/internal/precision"
@@ -173,6 +174,15 @@ type GPUSpec struct {
 
 	Power      PowerParams      `json:"Power"`
 	Contention ContentionParams `json:"Contention"`
+}
+
+// Clone returns a deep copy of the spec: the TFLOPS maps are its only
+// reference fields, and a nil map stays nil.
+func (g *GPUSpec) Clone() *GPUSpec {
+	out := *g
+	out.VectorTFLOPS = maps.Clone(g.VectorTFLOPS)
+	out.MatrixTFLOPS = maps.Clone(g.MatrixTFLOPS)
+	return &out
 }
 
 // PeakFLOPS returns the peak dense throughput in FLOP/s for the given

@@ -139,7 +139,7 @@ func (reg *Registry) Load(r io.Reader) error {
 		}
 		// Capture a private template; builders hand out fresh copies.
 		tmpl := *spec
-		if err := reg.registerGPU(func() *GPUSpec { s := tmpl; return cloneGPU(&s) }, f.GPUs[i].Override); err != nil {
+		if err := reg.registerGPU(func() *GPUSpec { return tmpl.Clone() }, f.GPUs[i].Override); err != nil {
 			return err
 		}
 	}
@@ -151,7 +151,7 @@ func (reg *Registry) Load(r io.Reader) error {
 		tmpl := sys
 		if err := reg.registerSys(func() System {
 			s := tmpl
-			s.GPU = cloneGPU(tmpl.GPU)
+			s.GPU = tmpl.GPU.Clone()
 			if tmpl.NIC != nil {
 				nic := *tmpl.NIC
 				s.NIC = &nic
@@ -176,26 +176,6 @@ func LoadFile(path string) error {
 		return fmt.Errorf("%w (in %s)", err, path)
 	}
 	return nil
-}
-
-// cloneGPU deep-copies a spec (the TFLOPS maps are the only reference
-// fields).
-func cloneGPU(g *GPUSpec) *GPUSpec {
-	out := *g
-	out.VectorTFLOPS = cloneTFLOPS(g.VectorTFLOPS)
-	out.MatrixTFLOPS = cloneTFLOPS(g.MatrixTFLOPS)
-	return &out
-}
-
-func cloneTFLOPS(m map[precision.Format]float64) map[precision.Format]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[precision.Format]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // Spec converts the JSON form into a validated GPUSpec, applying

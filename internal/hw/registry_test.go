@@ -49,6 +49,22 @@ func TestRegistryReturnsFreshCopies(t *testing.T) {
 	}
 }
 
+// Clone is a deep copy: the clone's TFLOPS maps are its own, and a nil
+// map stays nil.
+func TestGPUSpecClone(t *testing.T) {
+	a := ByName("H100")
+	b := a.Clone()
+	b.TDPW = 1
+	b.VectorTFLOPS[0] = -1
+	if a.TDPW == 1 || a.VectorTFLOPS[0] == -1 {
+		t.Error("Clone must not alias the original")
+	}
+	a.MatrixTFLOPS = nil
+	if c := a.Clone(); c.MatrixTFLOPS != nil {
+		t.Errorf("Clone of a nil map = %v, want nil", c.MatrixTFLOPS)
+	}
+}
+
 func TestSystemRegistryServesPaperSystems(t *testing.T) {
 	want := map[string]int{"A100x4": 4, "H100x4": 4, "H100x8": 8, "MI210x4": 4, "MI250x4": 4}
 	for name, n := range want {

@@ -142,6 +142,15 @@ func (e Experiment) Config() (core.Config, error) {
 	if e.TPDegree < 0 {
 		return core.Config{}, fmt.Errorf("sweep: invalid TP degree %d", e.TPDegree)
 	}
+	if e.MicroBatch < 0 {
+		return core.Config{}, fmt.Errorf("sweep: invalid micro-batch %d", e.MicroBatch)
+	}
+	if e.Iterations < 0 {
+		return core.Config{}, fmt.Errorf("sweep: invalid iterations %d", e.Iterations)
+	}
+	if e.GradAccumSteps < 0 {
+		return core.Config{}, fmt.Errorf("sweep: invalid grad accumulation steps %d", e.GradAccumSteps)
+	}
 	caps := power.Caps{PowerW: e.PowerCapW, FreqFactor: e.FreqCap}
 	if err := caps.Validate(sys.GPU); err != nil {
 		return core.Config{}, err

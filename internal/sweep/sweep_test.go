@@ -170,18 +170,21 @@ func TestSpecExpansionDedupesByFingerprint(t *testing.T) {
 
 func TestSpecExpansionErrors(t *testing.T) {
 	cases := map[string]Spec{
-		"no gpus":     {Models: []string{"GPT-3 XL"}},
-		"no models":   {GPUs: []string{"H100"}},
-		"bad gpu":     {GPUs: []string{"B200"}, Models: []string{"GPT-3 XL"}},
-		"bad model":   {GPUs: []string{"H100"}, Models: []string{"GPT-5"}},
-		"bad par":     {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Parallelisms: []string{"tensor"}},
-		"bad format":  {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Formats: []string{"fp8"}},
-		"bad batch":   {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Batches: []int{-1}},
-		"bad cap":     {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, PowerCapsW: []float64{-5}},
-		"bad gpus n":  {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, GPUCounts: []int{-2}},
-		"bad freqcap": {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{FreqCap: 1.5}},
-		"bad nodes":   {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Nodes: []int{-1}},
-		"bad tp":      {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{TPDegree: -1}},
+		"no gpus":         {Models: []string{"GPT-3 XL"}},
+		"no models":       {GPUs: []string{"H100"}},
+		"bad gpu":         {GPUs: []string{"B200"}, Models: []string{"GPT-3 XL"}},
+		"bad model":       {GPUs: []string{"H100"}, Models: []string{"GPT-5"}},
+		"bad par":         {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Parallelisms: []string{"tensor"}},
+		"bad format":      {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Formats: []string{"fp8"}},
+		"bad batch":       {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Batches: []int{-1}},
+		"bad cap":         {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, PowerCapsW: []float64{-5}},
+		"bad gpus n":      {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, GPUCounts: []int{-2}},
+		"bad freqcap":     {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{FreqCap: 1.5}},
+		"bad nodes":       {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Nodes: []int{-1}},
+		"bad tp":          {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{TPDegree: -1}},
+		"bad micro batch": {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{Parallelism: "pp", MicroBatch: -3}},
+		"bad iterations":  {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{Iterations: -1}},
+		"bad grad accum":  {GPUs: []string{"H100"}, Models: []string{"GPT-3 XL"}, Base: Experiment{GradAccumSteps: -2}},
 	}
 	for name, spec := range cases {
 		if _, _, err := spec.Expand(); err == nil {
