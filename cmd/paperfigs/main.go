@@ -13,6 +13,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"overlapsim/internal/core"
@@ -23,12 +24,19 @@ import (
 	"overlapsim/internal/workload"
 )
 
+// artifacts names what -only selects, in output order.
+var artifacts = []string{"table1", "table2", "fig1a", "fig1b", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "headline"}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfigs: ")
-	only := flag.String("only", "", "restrict to one artifact: table1, table2, fig1a, fig1b, fig4, fig5, fig6, fig7, fig9, fig10, fig11, headline")
+	names := strings.Join(artifacts, ", ")
+	only := flag.String("only", "", "restrict to one artifact: "+names)
 	outDir := flag.String("out", "", "directory to write the fig1a, fig1b, fig4 and fig7 CSVs into (optional)")
 	flag.Parse()
+	if *only != "" && !slices.ContainsFunc(artifacts, func(a string) bool { return strings.EqualFold(a, *only) }) {
+		log.Fatalf("unknown -only %q; valid: %s", *only, names)
+	}
 	if *outDir != "" {
 		check(os.MkdirAll(*outDir, 0o755))
 	}

@@ -25,6 +25,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"overlapsim/internal/hw"
@@ -83,13 +84,13 @@ example specs:
 	}
 	spec, err := sweep.ParseSpec(in)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatal(bare(err))
 	}
 
 	if *validate {
 		n, err := spec.Validate()
 		if err != nil {
-			log.Fatalf("invalid spec: %v", err)
+			log.Fatal(invalidSpec(err))
 		}
 		fmt.Printf("spec %q ok: %d points\n", spec.Name, n)
 		return
@@ -106,7 +107,7 @@ example specs:
 	runner := &sweep.Runner{Workers: *workers, Cache: cache}
 	res, err := runner.RunSpec(ctx, spec)
 	if err != nil {
-		log.Fatalf("sweep aborted: %v", err)
+		log.Fatalf("sweep aborted: %s", bare(err))
 	}
 
 	rows := report.Rows(res)
@@ -140,6 +141,13 @@ example specs:
 		}
 	}
 	if res.Failures > 0 {
-		log.Fatal(res.Err())
+		log.Fatal(bare(res.Err()))
 	}
 }
+
+// bare drops the "sweep: " prefix package sweep puts on its errors: the
+// command's log prefix already prints it.
+func bare(err error) string { return strings.TrimPrefix(err.Error(), "sweep: ") }
+
+// invalidSpec is the -validate failure line, after the log prefix.
+func invalidSpec(err error) string { return "invalid spec: " + bare(err) }

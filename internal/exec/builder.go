@@ -56,8 +56,9 @@ type Builder struct {
 	devices []int         // 0..n-1, shared read-only
 	chain   *Chain        // sequential mode only
 	prep    *collective.Preparer
-	buf     []byte // name assembly, reused
-	ends    []int  // end offset of each name of a Compute fan-out in buf
+	buf     []byte      // name assembly, reused
+	ends    []int       // end offset of each name of a Compute fan-out in buf
+	colls   []*sim.Task // every Collective task, in creation order
 }
 
 // NewBuilder starts a plan on a fresh engine bound to the cluster,
@@ -105,7 +106,8 @@ func (b *Builder) Devices() []int { return b.devices }
 
 // Plan builds warmup+iters iterations through build, which receives the
 // iteration index, and groups each call's tasks as one iteration of the
-// returned plan.
+// returned plan. The plan keeps the collective tasks the builder created,
+// which is what lets it collapse (see Plan.RunContext).
 func (b *Builder) Plan(warmup, iters int, build func(it int)) *Plan {
 	p := &Plan{Engine: b.Eng, Cluster: b.cl, Warmup: warmup}
 	for it := 0; it < warmup+iters; it++ {
@@ -113,6 +115,7 @@ func (b *Builder) Plan(warmup, iters int, build func(it int)) *Plan {
 		build(it)
 		p.Iterations = append(p.Iterations, b.Eng.Tasks()[start:])
 	}
+	p.built, p.collectives = true, b.colls
 	return p
 }
 
@@ -159,15 +162,19 @@ func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
 // execution mode places communication: overlapped mode enqueues it on
 // the given stream; sequential mode enqueues it on a fresh stream of the
 // home device and chain-orders it after the latest operation of each of
-// orderDevices, serializing it against their computation.
+// orderDevices, serializing it against their computation. The builder
+// records the task for the plan's collapse veto.
 func (b *Builder) Collective(name string, d collective.Desc, overlapped *sim.Stream, home int, orderDevices ...int) *sim.Task {
 	d.Name = name
 	d, work := b.prep.Prepare(d)
+	var t *sim.Task
 	if !b.Sequential() {
-		return b.Eng.NewTask(name, sim.KindComm, work, d, overlapped)
+		t = b.Eng.NewTask(name, sim.KindComm, work, d, overlapped)
+	} else {
+		t = b.Eng.NewTask(name, sim.KindComm, work, d, b.Eng.NewStream("seqcomm."+name, home))
+		b.chain.Order(t, orderDevices...)
 	}
-	t := b.Eng.NewTask(name, sim.KindComm, work, d, b.Eng.NewStream("seqcomm."+name, home))
-	b.chain.Order(t, orderDevices...)
+	b.colls = append(b.colls, t)
 	return t
 }
 

@@ -60,6 +60,13 @@ type Plan struct {
 	NoCollapse bool
 
 	ran bool
+	// built is set by Builder.Plan, which also records collectives:
+	// every collective task of the plan, in creation order. Only a built
+	// plan collapses — the collapse veto reads the recorded collectives
+	// instead of inspecting every task's payload, and a hand-assembled
+	// plan has no record to read.
+	built       bool
+	collectives []*sim.Task
 	// alias maps every device to its class representative after a
 	// collapsed run, nil when the plan ran in full. It feeds both the
 	// cluster's telemetry back-fill and measurement extraction.
@@ -80,13 +87,13 @@ func (p *Plan) Run() error {
 // per class, and reconstructs the ghost ranks' timelines and telemetry
 // afterwards — bit-identical to the full simulation, O(classes) instead
 // of O(ranks). Collapse requires a deterministic rate model; jittered
-// clusters always run in full.
+// clusters always run in full, and so does a plan not made by Builder.
 func (p *Plan) RunContext(ctx context.Context) error {
 	if p.ran {
 		return fmt.Errorf("exec: plan already ran")
 	}
 	p.ran = true
-	if !p.NoCollapse && (p.Cluster == nil || p.Cluster.Deterministic()) {
+	if p.built && !p.NoCollapse && (p.Cluster == nil || p.Cluster.Deterministic()) {
 		classes := p.mergeableClasses(p.Engine.DetectClasses(PayloadEq))
 		if p.Engine.Collapse(classes) > 0 {
 			p.alias = p.aliasVector(classes)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"overlapsim/internal/collective"
 	"overlapsim/internal/kernels"
 	"overlapsim/internal/precision"
 	"overlapsim/internal/sim"
@@ -105,5 +106,39 @@ func TestPlanGuards(t *testing.T) {
 	}
 	if _, err := p.MeasuredTimeline(); err != nil {
 		t.Errorf("MeasuredTimeline after Run: %v", err)
+	}
+}
+
+// TestHandAssembledPlanRunsInFull: the collapse veto reads the
+// collectives Builder records, so a plan assembled without a Builder
+// has no record and must not collapse. Here ranks 0-3 are structurally
+// symmetric, and an all-reduce over ranks 0 and 1 only gates them all;
+// collapsing the four ranks would drop the contention the all-reduce
+// exerts on ranks 0 and 1 alone.
+func TestHandAssembledPlanRunsInFull(t *testing.T) {
+	build := func() *Plan {
+		e := sim.NewEngine(nil)
+		comm := e.NewStream("comm", 4)
+		ar := e.NewTask("ar", sim.KindComm, 1, collective.Desc{Op: collective.AllReduce, Bytes: 1 << 20, Ranks: []int{0, 1}}, comm)
+		for r := 0; r < 4; r++ {
+			s := e.NewStream("compute", r)
+			e.NewTask("k", sim.KindCompute, 2, nil, s).After(ar)
+		}
+		return &Plan{Engine: e}
+	}
+	if classes := build().SymmetryClasses(); len(classes) == 0 || len(classes[0].Members) != 4 {
+		t.Fatalf("classes %v, want ranks 0-3 in one class", classes)
+	}
+	p := build()
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.EngineStats(); st.GhostTasks != 0 || st.CollapsedClasses != 0 {
+		t.Fatalf("hand-assembled plan collapsed: %d classes, %d ghosts", st.CollapsedClasses, st.GhostTasks)
+	}
+	for _, task := range p.Engine.Tasks() {
+		if !task.Done() {
+			t.Fatalf("task %s unfinished", task.Name())
+		}
 	}
 }

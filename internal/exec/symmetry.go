@@ -99,7 +99,7 @@ func (p *Plan) SymmetryClasses() []sim.Class {
 // (partial overlap would leave the representative with contention its
 // ghost members never had), and no collective task is enqueued on a
 // class member's stream (its pressure on the other devices would vanish
-// with the ghost).
+// with the ghost). The collectives are the ones Builder recorded.
 func (p *Plan) mergeableClasses(classes []sim.Class) []sim.Class {
 	multi := 0
 	maxDev := -1
@@ -130,7 +130,7 @@ func (p *Plan) mergeableClasses(classes []sim.Class) []sim.Class {
 	vetoed := make([]bool, len(classes))
 	counts := make([]int, len(classes))
 	var touched []int
-	for _, t := range p.Engine.Tasks() {
+	for _, t := range p.collectives {
 		cd, ok := t.Payload().(collective.Desc)
 		if !ok {
 			continue

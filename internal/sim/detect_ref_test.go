@@ -254,6 +254,18 @@ func ddpBarrierDAG() *Engine {
 	return e
 }
 
+// payloadSplitDAG is symDAG's four ranks with the payloads of ranks 2
+// and 3 shifted: equal work, equal dependency shape, different payload.
+func payloadSplitDAG() *Engine {
+	e, tasks := symDAG(4, 6, nil)
+	for r := 2; r < 4; r++ {
+		for _, t := range tasks[r] {
+			t.payload = t.payload.(int) + 3
+		}
+	}
+	return e
+}
+
 func TestDetectClassesMatchesReference(t *testing.T) {
 	perturb := func(rank, slot int, w float64) float64 {
 		if rank == 2 && slot == 3 {
@@ -269,6 +281,10 @@ func TestDetectClassesMatchesReference(t *testing.T) {
 		{"identical ranks", func() *Engine { e, _ := symDAG(4, 6, nil); return e }, [][]int{{0, 1, 2, 3}, {4}}},
 		{"perturbed rank", func() *Engine { e, _ := symDAG(4, 6, perturb); return e }, [][]int{{0, 1, 3}, {2}, {4}}},
 		{"ddp barrier", ddpBarrierDAG, [][]int{{0}, {1, 2}, {3}}},
+		// Ranks {0,1} and {2,3} carry different payloads and nothing
+		// else differs: one signature bucket, two classes. Ranks 2 and 3
+		// fail their first candidate; rank 3 must find rank 2's class.
+		{"payload split", payloadSplitDAG, [][]int{{0, 1}, {2, 3}, {4}}},
 		{"fuzz seed", func() *Engine { return classFuzzDAG([]byte{5, 7, 3, 17, 2, 0, 40, 26, 0, 9, 5, 250}) }, nil},
 		// Rank 0's third slot waits on its second slot, rank 1's on its
 		// first: same in-degree, same devices, different queue positions.

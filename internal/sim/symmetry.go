@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Rank-symmetry fast path.
 //
@@ -42,12 +45,17 @@ type Class struct {
 // result also records, on every task of a non-representative member,
 // which representative task mirrors it — Collapse consumes that mapping.
 //
-// The proof costs two passes over the tasks and one over the edges: a
-// per-device walk of the stream queues that records each task's
-// structural position and mixes the device signature, a prefix sum over
-// the in-degrees, and one walk over the successor lists that fills the
-// predecessor index. Pairwise verification then touches only devices
-// whose signatures collide.
+// The proof walks the tasks in creation order — the order they sit in
+// the slab — three times. The first pass records each task's structural
+// position, mixes per-stream signatures and lays out the in-degree
+// offsets; the second fills the predecessor index from the successor
+// lists; the third checks every task of a candidate device against its
+// positional counterpart on the first device of the candidate's
+// signature bucket, writing the mirror as it goes. A device that fails
+// that check drops its partial mirrors and falls back to a per-device
+// verification against the bucket's later classes, so the partition is
+// the greedy first-match one: each device joins the first class, in
+// order of creation, whose representative it verifies against.
 func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	if e.ran || len(e.ghosts) > 0 || eq == nil || len(e.streams) == 0 {
 		return nil
@@ -62,61 +70,78 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 		return nil
 	}
 	// Streams per device, in creation order: the order the builder made
-	// them is the alignment the pairwise verification walks.
+	// them is the alignment the verification walks. within is each
+	// stream's index on its device.
 	devStreams := make([][]*Stream, maxDev+1)
+	within := make([]int32, len(e.streams))
 	for _, s := range e.streams {
+		within[s.seq] = int32(len(devStreams[s.device]))
 		devStreams[s.device] = append(devStreams[s.device], s)
 	}
 
 	// Position index: for single-stream tasks, (device, stream index
 	// within the device, queue position) identifies the task's structural
 	// slot; counterpart dependencies are paired through it. Multi-stream
-	// tasks get no position and veto every device they touch.
+	// tasks get no position and veto every device they touch. A stream's
+	// queue holds its tasks in creation order, so a running count per
+	// stream yields the queue position.
 	//
-	// The same walk mixes each device's structural signature; devices
-	// bucket by it, then verify pairwise against each bucketed class rep.
-	// A word-at-a-time FNV-style mix: collisions only cost a failed
-	// pairwise verify, so a fast weak hash beats a slow strong one. The
-	// in-degree stands for the predecessor count: before a run or a
-	// collapse, After is its only writer, once per edge.
+	// The same pass mixes a signature per stream; devices combine their
+	// streams' signatures and bucket by the result. A word-at-a-time
+	// FNV-style mix: collisions only cost a failed verification, so a
+	// fast weak hash beats a slow strong one. The in-degree stands for
+	// the predecessor count: before a run or a collapse, After is its
+	// only writer, once per edge.
 	const (
-		devUnset = -1
-		devMulti = -2
+		fnvOffset = 14695981039346656037
+		fnvPrime  = 1099511628211
+		devMulti  = -1
 	)
 	nT := len(e.tasks)
 	posDev := make([]int32, nT)
 	posStream := make([]int32, nT)
 	posQueue := make([]int32, nT)
-	for i := range posDev {
-		posDev[i] = devUnset
-	}
+	end := make([]int32, nT)
 	mergeable := make([]bool, maxDev+1)
 	for dev, ss := range devStreams {
 		mergeable[dev] = len(ss) > 0
 	}
+	queued := make([]int32, len(e.streams))
+	streamSig := make([]uint64, len(e.streams))
+	for i := range streamSig {
+		streamSig[i] = fnvOffset
+	}
+	n := int32(0)
+	for i, t := range e.tasks {
+		end[i] = n
+		n += int32(t.deps)
+		if len(t.streams) > 1 || len(t.onDone) > 0 || t.st != statePending {
+			for _, s := range t.streams {
+				mergeable[s.device] = false
+				queued[s.seq]++
+			}
+			posDev[i] = devMulti
+			continue
+		}
+		s := t.streams[0]
+		posDev[i] = int32(s.device)
+		posStream[i] = within[s.seq]
+		posQueue[i] = queued[s.seq]
+		queued[s.seq]++
+		h := streamSig[s.seq]
+		h = (h ^ (uint64(t.kind)<<32 ^ uint64(t.deps))) * fnvPrime
+		streamSig[s.seq] = (h ^ math.Float64bits(t.work)) * fnvPrime
+	}
 	sig := make([]uint64, maxDev+1)
 	for dev, ss := range devStreams {
-		h := uint64(14695981039346656037)
-		mix := func(v uint64) {
-			h = (h ^ v) * 1099511628211
+		if !mergeable[dev] {
+			continue
 		}
-		mix(uint64(len(ss)))
-		for si, s := range ss {
-			mix(uint64(len(s.queue)))
-			for qi, t := range s.queue {
-				mix(uint64(t.kind)<<32 ^ uint64(t.deps))
-				mix(math.Float64bits(t.work))
-				if len(t.streams) > 1 || len(t.onDone) > 0 || t.st != statePending {
-					for _, ts := range t.streams {
-						mergeable[ts.device] = false
-					}
-					posDev[t.seq] = devMulti
-					continue
-				}
-				posDev[t.seq] = int32(dev)
-				posStream[t.seq] = int32(si)
-				posQueue[t.seq] = int32(qi)
-			}
+		h := uint64(fnvOffset)
+		h = (h ^ uint64(len(ss))) * fnvPrime
+		for _, s := range ss {
+			h = (h ^ uint64(len(s.queue))) * fnvPrime
+			h = (h ^ streamSig[s.seq]) * fnvPrime
 		}
 		sig[dev] = h
 	}
@@ -130,12 +155,6 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	// tasks[i].seq == i makes them equivalent, and a pointer-free slab is
 	// invisible to the garbage collector — at cluster scale this index is
 	// the detector's largest allocation.
-	end := make([]int32, nT)
-	n := int32(0)
-	for i, t := range e.tasks {
-		end[i] = n
-		n += int32(t.deps)
-	}
 	flat := make([]int32, n)
 	for _, t := range e.tasks {
 		for _, s := range t.succs {
@@ -145,40 +164,106 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	}
 	preds := func(t *Task) []int32 { return flat[end[t.seq]-int32(t.deps) : end[t.seq]] }
 
-	verify := func(a, b int) bool {
+	// pair proves tb on device b the structural twin of ta on device a.
+	pair := func(ta, tb *Task, a, b int32) bool {
+		if ta.kind != tb.kind ||
+			math.Float64bits(ta.work) != math.Float64bits(tb.work) ||
+			ta.deps != tb.deps ||
+			!eq(ta.payload, tb.payload) {
+			return false
+		}
+		pa, pb := preds(ta), preds(tb)
+		for i := range pa {
+			da, db := pa[i], pb[i]
+			if da == db {
+				continue // shared dependency (collective, barrier)
+			}
+			if posDev[da] == a && posDev[db] == b &&
+				posStream[da] == posStream[db] &&
+				posQueue[da] == posQueue[db] {
+				continue // positional counterpart on the peer device
+			}
+			return false
+		}
+		return true
+	}
+	sameShape := func(a, b int) bool {
 		sa, sb := devStreams[a], devStreams[b]
 		if len(sa) != len(sb) {
 			return false
 		}
 		for si := range sa {
-			qa, qb := sa[si].queue, sb[si].queue
-			if len(qa) != len(qb) {
+			if len(sa[si].queue) != len(sb[si].queue) {
 				return false
 			}
+		}
+		return true
+	}
+
+	// Candidates: every mergeable device whose signature bucket already
+	// has a first device is checked against that device in one
+	// creation-order pass. first[dev] is the bucket's first device for a
+	// candidate, candFounder for the device that opens its bucket,
+	// candFailed once the check (or the shape check) fails, and candNone
+	// for a device that is not mergeable.
+	const (
+		candFounder = -1
+		candFailed  = -2
+		candNone    = -3
+	)
+	first := make([]int32, maxDev+1)
+	buckets := make(map[uint64][]int) // signature -> class indices (looked up, never ranged)
+	founder := make(map[uint64]int32)
+	candidates := 0
+	for dev := range devStreams {
+		if !mergeable[dev] {
+			first[dev] = candNone
+			continue
+		}
+		f, ok := founder[sig[dev]]
+		switch {
+		case !ok:
+			founder[sig[dev]] = int32(dev)
+			first[dev] = candFounder
+		case sameShape(int(f), dev):
+			first[dev] = f
+			candidates++
+		default:
+			first[dev] = candFailed
+		}
+	}
+	if candidates > 0 {
+		for i, tb := range e.tasks {
+			b := posDev[i]
+			if b < 0 || first[b] < 0 {
+				continue
+			}
+			a := first[b]
+			ta := devStreams[a][posStream[i]].queue[posQueue[i]]
+			if !pair(ta, tb, a, b) {
+				first[b] = candFailed
+				continue
+			}
+			tb.mirror = ta
+		}
+	}
+
+	// verify is the per-device fallback for a device that failed its
+	// bucket's first class: it proves b against class representative a
+	// and records the mirror mapping only once the whole device pairs.
+	verify := func(a, b int) bool {
+		if !sameShape(a, b) {
+			return false
+		}
+		sa, sb := devStreams[a], devStreams[b]
+		for si := range sa {
+			qa, qb := sa[si].queue, sb[si].queue
 			for qi := range qa {
-				ta, tb := qa[qi], qb[qi]
-				if ta.kind != tb.kind ||
-					math.Float64bits(ta.work) != math.Float64bits(tb.work) ||
-					ta.deps != tb.deps ||
-					!eq(ta.payload, tb.payload) {
-					return false
-				}
-				pa, pb := preds(ta), preds(tb)
-				for i := range pa {
-					da, db := pa[i], pb[i]
-					if da == db {
-						continue // shared dependency (collective, barrier)
-					}
-					if posDev[da] == int32(a) && posDev[db] == int32(b) &&
-						posStream[da] == posStream[db] &&
-						posQueue[da] == posQueue[db] {
-						continue // positional counterpart on the peer device
-					}
+				if !pair(qa[qi], qb[qi], int32(a), int32(b)) {
 					return false
 				}
 			}
 		}
-		// Proven: record the mirror mapping for Collapse.
 		for si := range sa {
 			qa, qb := sa[si].queue, sb[si].queue
 			for qi := range qa {
@@ -189,7 +274,6 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	}
 
 	var classes []Class
-	buckets := make(map[uint64][]int) // signature -> class indices (looked up, never ranged)
 	for dev := 0; dev <= maxDev; dev++ {
 		if len(devStreams[dev]) == 0 {
 			continue
@@ -198,19 +282,33 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 			classes = append(classes, Class{Members: []int{dev}})
 			continue
 		}
-		matched := -1
-		for _, ci := range buckets[sig[dev]] {
-			rep := classes[ci].Members[0]
-			if mergeable[rep] && verify(rep, dev) {
-				matched = ci
-				break
+		bucket := buckets[sig[dev]]
+		switch first[dev] {
+		case candFounder:
+		case candFailed:
+			// Drop the mirrors the creation-order check wrote before it
+			// failed, then try the bucket's later classes in order.
+			for _, s := range devStreams[dev] {
+				for _, t := range s.queue {
+					t.mirror = nil
+				}
 			}
-		}
-		if matched >= 0 {
-			classes[matched].Members = append(classes[matched].Members, dev)
+			matched := -1
+			for _, ci := range bucket[1:] {
+				if verify(classes[ci].Members[0], dev) {
+					matched = ci
+					break
+				}
+			}
+			if matched >= 0 {
+				classes[matched].Members = append(classes[matched].Members, dev)
+				continue
+			}
+		default:
+			classes[bucket[0]].Members = append(classes[bucket[0]].Members, dev)
 			continue
 		}
-		buckets[sig[dev]] = append(buckets[sig[dev]], len(classes))
+		buckets[sig[dev]] = append(bucket, len(classes))
 		classes = append(classes, Class{Members: []int{dev}})
 	}
 	return classes
@@ -225,105 +323,133 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 // would have produced. After a successful run the ghosts' start/end
 // times are reconstructed from their mirrors.
 //
+// Collapse walks the tasks in creation order three times: a validity
+// pass (every task of a non-representative member has a mirror and is
+// pending, else its class is skipped entirely), a marking pass that
+// ghosts the valid classes' tasks into a list sized by the first pass,
+// and a transfer pass over the ghosts. Every ghost is marked before any
+// edge moves, so edges between ghosts drop out. A transferred edge into
+// a successor the mirror already gates does not add a duplicate entry:
+// the successor's in-degree is decremented at collapse time instead,
+// and the entry the mirror holds keeps it gated until the mirror — and
+// so every member — finishes. Only edges into successors the mirror
+// does not gate yet are appended. With no multi-member class Collapse
+// makes no pass at all.
+//
 // Collapse returns the number of ghost tasks created. Classes with
-// fewer than two members are ignored; a class whose mirror mapping is
-// incomplete (not produced by DetectClasses) is skipped entirely.
+// fewer than two members are ignored, as is a class listing a device
+// that it or an earlier class already lists.
 func (e *Engine) Collapse(classes []Class) int {
 	if e.ran {
 		return 0
 	}
-	var devStreams [][]*Stream
-	for _, s := range e.streams {
-		for len(devStreams) <= s.device {
-			devStreams = append(devStreams, nil)
-		}
-		devStreams[s.device] = append(devStreams[s.device], s)
-	}
-	ghosts := 0
+	maxDev := -1
 	for _, c := range classes {
 		if len(c.Members) < 2 {
 			continue
 		}
-		ok := true
-	check:
-		for _, dev := range c.Members[1:] {
-			for _, s := range devStreams[dev] {
-				for _, t := range s.queue {
-					if t.mirror == nil || t.st != statePending {
-						ok = false
-						break check
-					}
-				}
-			}
+		for _, m := range c.Members {
+			maxDev = max(maxDev, m)
 		}
-		if !ok {
+	}
+	if maxDev < 0 {
+		return 0
+	}
+	// ghostOf maps each non-representative member to its class;
+	// claimed marks every listed member, representatives included.
+	ghostOf := make([]int32, maxDev+1)
+	for i := range ghostOf {
+		ghostOf[i] = -1
+	}
+	claimed := make([]bool, maxDev+1)
+	valid := make([]bool, len(classes))
+	for ci, c := range classes {
+		if len(c.Members) < 2 {
 			continue
 		}
-		e.stCollapsed++
-		first := len(e.ghosts)
-		if cap(e.ghosts)-first < 16 {
-			// Size the ghost list for the class in one growth step.
-			total := 0
-			for _, dev := range c.Members[1:] {
-				for _, s := range devStreams[dev] {
-					total += len(s.queue)
-				}
+		valid[ci] = true
+		for _, m := range c.Members {
+			if m < 0 || claimed[m] {
+				valid[ci] = false
+				break
 			}
-			if cap(e.ghosts)-first < total {
-				grown := make([]*Task, first, first+total)
-				copy(grown, e.ghosts)
-				e.ghosts = grown
+			claimed[m] = true
+		}
+		if valid[ci] {
+			for _, m := range c.Members[1:] {
+				ghostOf[m] = int32(ci)
 			}
 		}
-		for _, dev := range c.Members[1:] {
-			for _, s := range devStreams[dev] {
-				for _, t := range s.queue {
-					t.st = stateDone
-					t.remaining = 0
-					e.ghosts = append(e.ghosts, t)
-				}
-			}
-		}
-		// Transfer ghost → live edges onto the mirrors. All ghosts of the
-		// class are marked done above before any transfer, so class-internal
-		// edges drop out and only edges into genuinely simulated tasks move.
-		// The first member's transfer counts pre-size each mirror's list:
-		// the remaining members repeat the identical counts, so the append
-		// loop below never reallocates mid-class.
-		extra := len(c.Members) - 1
-		for _, s := range devStreams[c.Members[1]] {
-			for _, t := range s.queue {
-				live := 0
-				for _, succ := range t.succs {
-					if succ.st != stateDone {
-						live++
-					}
-				}
-				if live == 0 {
-					continue
-				}
-				m := t.mirror
-				if need := len(m.succs) + live*extra; cap(m.succs) < need {
-					grown := make([]*Task, len(m.succs), need)
-					copy(grown, m.succs)
-					m.succs = grown
-				}
-			}
-		}
-		for _, g := range e.ghosts[first:] {
-			m := g.mirror
-			for _, succ := range g.succs {
-				if succ.st == stateDone {
-					continue
-				}
-				if m.succs == nil && m.eng != nil {
-					m.succs = m.eng.succChunk()
-				}
-				m.succs = append(m.succs, succ)
-			}
-		}
-		ghosts += len(e.ghosts) - first
 	}
+
+	// Validity pass; it also counts each class's ghosts.
+	count := make([]int, len(classes))
+	for _, t := range e.tasks {
+		for _, s := range t.streams {
+			if s.device > maxDev {
+				continue
+			}
+			if ci := ghostOf[s.device]; ci >= 0 {
+				if t.mirror == nil || t.st != statePending {
+					valid[ci] = false
+				}
+				count[ci]++
+			}
+		}
+	}
+	collapsed, total := 0, 0
+	for ci, c := range classes {
+		if valid[ci] {
+			collapsed++
+			total += count[ci]
+			continue
+		}
+		for _, m := range c.Members[1:] {
+			if m >= 0 && m <= maxDev && ghostOf[m] == int32(ci) {
+				ghostOf[m] = -1
+			}
+		}
+	}
+	if collapsed == 0 {
+		return 0
+	}
+	e.stCollapsed += int64(collapsed)
+
+	// Marking pass. A task on a valid class's member has a mirror, which
+	// DetectClasses records only for single-stream tasks, so its first
+	// stream is its only one.
+	first := len(e.ghosts)
+	if cap(e.ghosts)-first < total {
+		grown := make([]*Task, first, first+total)
+		copy(grown, e.ghosts)
+		e.ghosts = grown
+	}
+	for _, t := range e.tasks {
+		if d := t.streams[0].device; d <= maxDev && ghostOf[d] >= 0 {
+			t.st = stateDone
+			t.remaining = 0
+			e.ghosts = append(e.ghosts, t)
+		}
+	}
+
+	// Transfer pass.
+	for _, g := range e.ghosts[first:] {
+		m := g.mirror
+		for _, succ := range g.succs {
+			if succ.st == stateDone {
+				continue
+			}
+			if slices.Contains(m.succs, succ) {
+				succ.deps--
+				continue
+			}
+			if m.succs == nil && m.eng != nil {
+				m.succs = m.eng.succChunk()
+			}
+			m.succs = append(m.succs, succ)
+		}
+	}
+	ghosts := len(e.ghosts) - first
 	e.stGhosts += ghosts
 	return ghosts
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -241,4 +242,117 @@ func TestCollapseGhostEdgeTransfer(t *testing.T) {
 	if e.Now() != ref.Now() {
 		t.Fatalf("terminal time diverged: %g vs %g", e.Now(), ref.Now())
 	}
+}
+
+// requireSameSchedule fails unless two engines built from one recipe,
+// one run in full and one collapsed, report every task's start and end
+// and the final clock bit for bit.
+func requireSameSchedule(t *testing.T, full, collapsed *Engine) {
+	t.Helper()
+	if len(full.tasks) != len(collapsed.tasks) {
+		t.Fatalf("builds differ: %d vs %d tasks", len(full.tasks), len(collapsed.tasks))
+	}
+	for i, f := range full.tasks {
+		c := collapsed.tasks[i]
+		if !c.Done() {
+			t.Fatalf("task %s unfinished after collapsed run", c.name)
+		}
+		if math.Float64bits(c.Start()) != math.Float64bits(f.Start()) ||
+			math.Float64bits(c.End()) != math.Float64bits(f.End()) {
+			t.Fatalf("task %s diverged: collapsed [%g,%g] vs full [%g,%g]",
+				c.name, c.Start(), c.End(), f.Start(), f.End())
+		}
+	}
+	if math.Float64bits(collapsed.Now()) != math.Float64bits(full.Now()) {
+		t.Fatalf("terminal time diverged: %g vs %g", collapsed.Now(), full.Now())
+	}
+}
+
+// TestCollapseAppendsUngatedSuccessor: a live task on a singleton device
+// waits on one ghost only. The ghost's mirror does not gate it yet, so
+// Collapse appends it to the mirror's successors and leaves its
+// in-degree alone; the mirror's finish releases it.
+func TestCollapseAppendsUngatedSuccessor(t *testing.T) {
+	const ranks, slots = 4, 5
+	build := func() (*Engine, [][]*Task, *Task) {
+		e, tasks := symDAG(ranks, slots, nil)
+		solo := e.NewTask("solo", KindCompute, 2, 7, e.NewStream("solo", ranks+1))
+		solo.After(tasks[2][slots-2])
+		return e, tasks, solo
+	}
+	full, _, _ := build()
+	if err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e, tasks, solo := build()
+	if e.Collapse(e.DetectClasses(intEq)) != (ranks-1)*slots {
+		t.Fatalf("ghosts = %d, want %d", e.Stats().GhostTasks, (ranks-1)*slots)
+	}
+	mirror := tasks[0][slots-2]
+	if tasks[2][slots-2].mirror != mirror {
+		t.Fatal("rank 2 not mirrored by rank 0")
+	}
+	if !slices.Contains(mirror.succs, solo) || solo.deps != 1 {
+		t.Fatalf("solo: held by mirror %v, in-degree %d; want appended, 1",
+			slices.Contains(mirror.succs, solo), solo.deps)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, full, e)
+}
+
+// TestCollapsePreSubtractsHeldSuccessor: the shared sink waits on every
+// rank's last task. The mirror already gates it, so Collapse adds no
+// entry for the ghosts' edges and takes them off the sink's in-degree at
+// once; the mirror's own entry keeps the sink gated until it finishes.
+func TestCollapsePreSubtractsHeldSuccessor(t *testing.T) {
+	const ranks, slots = 5, 4
+	full, _ := symDAG(ranks, slots, nil)
+	if err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e, tasks := symDAG(ranks, slots, nil)
+	sink := e.tasks[len(e.tasks)-1]
+	if sink.deps != ranks {
+		t.Fatalf("sink in-degree %d, want %d", sink.deps, ranks)
+	}
+	if e.Collapse(e.DetectClasses(intEq)) == 0 {
+		t.Fatal("nothing collapsed")
+	}
+	mirror := tasks[0][slots-1]
+	held := 0
+	for _, s := range mirror.succs {
+		if s == sink {
+			held++
+		}
+	}
+	if held != 1 || sink.deps != 1 {
+		t.Fatalf("sink held %d times by the mirror, in-degree %d; want 1, 1", held, sink.deps)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, full, e)
+}
+
+// TestCollapseWithoutMirrors: a hand-made class whose members carry no
+// mirror mapping is skipped whole — nothing is ghosted, the stats say
+// so, and the run is the full one.
+func TestCollapseWithoutMirrors(t *testing.T) {
+	full, _ := symDAG(4, 3, nil)
+	if err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := symDAG(4, 3, nil)
+	if got := e.Collapse([]Class{{Members: []int{0, 1, 2, 3}}}); got != 0 {
+		t.Fatalf("Collapse ghosted %d tasks without mirrors", got)
+	}
+	if st := e.Stats(); st.GhostTasks != 0 || st.CollapsedClasses != 0 {
+		t.Fatalf("stats = %d classes / %d ghosts, want 0 / 0", st.CollapsedClasses, st.GhostTasks)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, full, e)
 }

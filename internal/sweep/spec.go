@@ -77,27 +77,27 @@ type Experiment struct {
 func (e Experiment) system() (hw.System, error) {
 	if e.System != "" {
 		if e.GPU != "" || e.GPUCount != 0 || e.Nodes != 0 {
-			return hw.System{}, fmt.Errorf("sweep: system %q and gpu/gpu_count/nodes are mutually exclusive", e.System)
+			return hw.System{}, fmt.Errorf("system %q and gpu/gpu_count/nodes are mutually exclusive", e.System)
 		}
 		sys, err := hw.SystemByName(e.System)
 		if err != nil {
-			return hw.System{}, fmt.Errorf("sweep: %w", err)
+			return hw.System{}, err
 		}
 		return sys, nil
 	}
 	g := hw.ByName(e.GPU)
 	if g == nil {
-		return hw.System{}, fmt.Errorf("sweep: unknown GPU %q (have %v)", e.GPU, hw.Names())
+		return hw.System{}, fmt.Errorf("unknown GPU %q (have %v)", e.GPU, hw.Names())
 	}
 	n := e.GPUCount
 	if n == 0 {
 		n = 4
 	}
 	if n < 1 {
-		return hw.System{}, fmt.Errorf("sweep: invalid GPU count %d", n)
+		return hw.System{}, fmt.Errorf("invalid GPU count %d", n)
 	}
 	if e.Nodes < 0 {
-		return hw.System{}, fmt.Errorf("sweep: invalid node count %d", e.Nodes)
+		return hw.System{}, fmt.Errorf("invalid node count %d", e.Nodes)
 	}
 	if e.Nodes > 1 {
 		return hw.NewMultiNode(g, n, e.Nodes), nil
@@ -108,13 +108,23 @@ func (e Experiment) system() (hw.System, error) {
 // Config resolves the experiment against the platform and model
 // registries into a runnable core.Config.
 func (e Experiment) Config() (core.Config, error) {
+	cfg, err := e.config()
+	if err != nil {
+		return core.Config{}, fmt.Errorf("sweep: %w", err)
+	}
+	return cfg, nil
+}
+
+// config is Config without the package prefix on its errors, for
+// callers in this package that add their own.
+func (e Experiment) config() (core.Config, error) {
 	sys, err := e.system()
 	if err != nil {
 		return core.Config{}, err
 	}
 	m, err := model.ByName(e.Model)
 	if err != nil {
-		return core.Config{}, fmt.Errorf("sweep: %w (have %v)", err, model.Names())
+		return core.Config{}, fmt.Errorf("%w (have %v)", err, model.Names())
 	}
 	parName := e.Parallelism
 	if parName == "" {
@@ -137,19 +147,19 @@ func (e Experiment) Config() (core.Config, error) {
 		batch = 8
 	}
 	if batch < 1 {
-		return core.Config{}, fmt.Errorf("sweep: invalid batch %d", batch)
+		return core.Config{}, fmt.Errorf("invalid batch %d", batch)
 	}
 	if e.TPDegree < 0 {
-		return core.Config{}, fmt.Errorf("sweep: invalid TP degree %d", e.TPDegree)
+		return core.Config{}, fmt.Errorf("invalid TP degree %d", e.TPDegree)
 	}
 	if e.MicroBatch < 0 {
-		return core.Config{}, fmt.Errorf("sweep: invalid micro-batch %d", e.MicroBatch)
+		return core.Config{}, fmt.Errorf("invalid micro-batch %d", e.MicroBatch)
 	}
 	if e.Iterations < 0 {
-		return core.Config{}, fmt.Errorf("sweep: invalid iterations %d", e.Iterations)
+		return core.Config{}, fmt.Errorf("invalid iterations %d", e.Iterations)
 	}
 	if e.GradAccumSteps < 0 {
-		return core.Config{}, fmt.Errorf("sweep: invalid grad accumulation steps %d", e.GradAccumSteps)
+		return core.Config{}, fmt.Errorf("invalid grad accumulation steps %d", e.GradAccumSteps)
 	}
 	caps := power.Caps{PowerW: e.PowerCapW, FreqFactor: e.FreqCap}
 	if err := caps.Validate(sys.GPU); err != nil {
@@ -488,7 +498,7 @@ func (s *Spec) Expand() ([]Experiment, []core.Config, error) {
 	var cfgs []core.Config
 	for ok := true; ok; ok = Next(coord, dims) {
 		e := axes.At(coord)
-		cfg, err := e.Config()
+		cfg, err := e.config()
 		if err != nil {
 			return nil, nil, fmt.Errorf("sweep: spec %q point %d: %w", s.Name, len(exps), err)
 		}
