@@ -45,7 +45,6 @@ func main() {
 		hwFile    = flag.String("hw-file", "", "load custom GPUs/systems from this JSON file before resolving the query")
 		validate  = flag.Bool("validate", false, "parse and validate the query (objectives, axes, names) without running it")
 		cacheDir  = flag.String("cache", "", "content-addressed cache directory (empty = in-memory only)")
-		peers     = flag.String("peers", "", "comma-separated overlapd base URLs to use as a shared result cache (read-through and write-back)")
 		workers   = flag.Int("workers", 0, "concurrent simulations per search round (0 = NumCPU)")
 		csvPath   = flag.String("csv", "", "also write the frontier as CSV to this file")
 		jsonPath  = flag.String("json", "", `also write the advice as JSON to this file ("-" writes stdout)`)
@@ -98,7 +97,7 @@ objectives: %v
 		return
 	}
 
-	cache, err := store.Compose(*cacheDir, *peers)
+	cache, err := store.Compose(*cacheDir)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,12 +5,11 @@
 // (optionally persisted to disk). Operational surfaces — Prometheus
 // metrics, a JSON stats mirror, optional pprof, structured request logs
 // — are documented in the README's "Operating overlapd" section;
-// -state-dir durability and the -peers cache mesh in "Scaling out".
+// -state-dir durability in "Scaling out".
 //
 // Example:
 //
 //	overlapd -addr :8080 -state-dir .overlapd &
-//	overlapd -addr :8081 -peers http://localhost:8080 &
 //	curl -s localhost:8080/v1/catalog
 //	curl -s -X POST localhost:8080/v1/experiments \
 //	    -d '{"gpu":"H100","model":"GPT-3 XL","parallelism":"fsdp","batch":16}'
@@ -37,7 +36,6 @@ import (
 	"overlapsim/internal/hw"
 	"overlapsim/internal/service"
 	"overlapsim/internal/store"
-	"overlapsim/internal/sweep"
 	"overlapsim/internal/telemetry"
 )
 
@@ -50,7 +48,6 @@ func main() {
 		hwFile      = flag.String("hw-file", "", "load custom GPUs/systems from this JSON file into the served catalog")
 		cacheDir    = flag.String("cache", "", "content-addressed cache directory (empty = in-memory, or <state-dir>/cache with -state-dir)")
 		stateDir    = flag.String("state-dir", "", "durable state directory: job journal (and default cache) live here, so jobs survive restarts")
-		peers       = flag.String("peers", "", "comma-separated peer overlapd base URLs (e.g. http://b:8080,http://c:8080); replicas form a cache mesh sharded by content address")
 		workers     = flag.Int("workers", 0, "concurrent simulations per sweep (0 = NumCPU)")
 		maxPts      = flag.Int("max-points", service.DefaultMaxSweepPoints, "largest sweep grid a job may submit")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -71,33 +68,15 @@ func main() {
 		}
 	}
 
-	// Local tiers: memory in front, optionally a durable directory behind
-	// it. -state-dir implies a durable cache — resumed jobs depend on it
-	// to skip the points that completed before the restart.
+	// Memory in front, optionally a durable directory behind it.
+	// -state-dir implies a durable cache — resumed jobs depend on it to
+	// skip the points that completed before the restart.
 	if *cacheDir == "" && *stateDir != "" {
 		*cacheDir = filepath.Join(*stateDir, "cache")
 	}
-	tiers := []sweep.Cache{sweep.NewMemCache()}
-	if *cacheDir != "" {
-		dc, err := sweep.NewDirCache(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tiers = append(tiers, dc)
-	}
-	local := store.NewTiered(tiers...)
-
-	// The full lookup path adds the peer mesh as the slowest tier. The
-	// peer protocol itself serves only the local tiers, so replicas
-	// pointing at each other never recurse.
-	var cache sweep.Cache = local
-	if list := store.SplitPeers(*peers); len(list) > 0 {
-		hc, err := store.NewHTTPCache(list, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cache = store.NewTiered(append(local.Tiers(), hc)...)
-		logger.Info("cache mesh enabled", slog.Any("peers", hc.Peers()))
+	cache, err := store.Compose(*cacheDir)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var journal *store.Journal
@@ -117,7 +96,7 @@ func main() {
 	}
 
 	srv := service.New(service.Options{
-		Cache: cache, LocalCache: local, Journal: journal,
+		Cache: cache, Journal: journal,
 		Workers: *workers, MaxSweepPoints: *maxPts,
 		Logger: logger,
 	})

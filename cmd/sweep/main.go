@@ -44,7 +44,6 @@ func main() {
 		hwFile   = flag.String("hw-file", "", "load custom GPUs/systems from this JSON file before resolving the spec")
 		validate = flag.Bool("validate", false, "parse and validate the spec (axes, names, shapes) without running it")
 		cacheDir = flag.String("cache", "", "content-addressed cache directory (empty = in-memory only)")
-		peers    = flag.String("peers", "", "comma-separated overlapd base URLs to use as a shared result cache (read-through and write-back)")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
 		csvPath  = flag.String("csv", "", "also write results as CSV to this file")
 		quiet    = flag.Bool("q", false, "suppress the result table (summary only)")
@@ -96,7 +95,7 @@ example specs:
 		return
 	}
 
-	cache, err := store.Compose(*cacheDir, *peers)
+	cache, err := store.Compose(*cacheDir)
 	if err != nil {
 		log.Fatal(err)
 	}

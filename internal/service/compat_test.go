@@ -3,8 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,9 +33,8 @@ func withLegacyEngineField(t *testing.T, b []byte) []byte {
 // decode when their engine_stats block carries a field sim.Stats lacks,
 // so the engine block can shrink without invalidating caches or
 // dropping finished jobs. Every decoder on the read path is covered:
-// DirCache.Get, the peer cache client (store.HTTPCache), the peer cache
-// endpoint (PUT /v1/cache/{fp}) and the journal replay at startup. Each
-// decoded entry must re-encode to exactly what the current build wrote.
+// DirCache.Get and the journal replay at startup. Each decoded entry
+// must re-encode to exactly what the current build wrote.
 func TestLegacyEngineFieldsDecode(t *testing.T) {
 	spec, err := sweep.ParseSpec(strings.NewReader(
 		`{"gpus": ["H100"], "models": ["GPT-3 XL"], "parallelisms": ["fsdp"], "batches": [8]}`))
@@ -79,50 +76,6 @@ func TestLegacyEngineFieldsDecode(t *testing.T) {
 		res, ok := dc.Get(pt.Key)
 		if !ok {
 			t.Fatal("legacy entry read as a miss")
-		}
-		reencode(t, res)
-	})
-
-	t.Run("PeerGet", func(t *testing.T) {
-		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(legacy)
-		}))
-		defer peer.Close()
-		hc, err := store.NewHTTPCache([]string{peer.URL}, peer.Client())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, ok := hc.Get(pt.Key)
-		if !ok {
-			t.Fatal("legacy peer entry read as a miss")
-		}
-		reencode(t, res)
-	})
-
-	t.Run("PeerPut", func(t *testing.T) {
-		local := sweep.NewMemCache()
-		srv := New(Options{Cache: local, LocalCache: local})
-		ts := httptest.NewServer(srv)
-		defer func() {
-			ts.Close()
-			srv.Close()
-		}()
-		req, err := http.NewRequest(http.MethodPut, ts.URL+store.CachePathPrefix+pt.Key, bytes.NewReader(legacy))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("legacy PUT: status %d, want %d", resp.StatusCode, http.StatusNoContent)
-		}
-		res, ok := local.Get(pt.Key)
-		if !ok {
-			t.Fatal("legacy PUT stored nothing")
 		}
 		reencode(t, res)
 	})

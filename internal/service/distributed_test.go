@@ -2,8 +2,10 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,12 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"overlapsim/internal/core"
 	"overlapsim/internal/store"
 	"overlapsim/internal/sweep"
 )
 
-// distSpec is a small sweep used across the distributed-tier tests.
+// distSpec is a small sweep used across the cache, journal and stream tests.
 const distSpec = `{
 	"name": "dist-test",
 	"gpus": ["H100"],
@@ -37,7 +38,7 @@ func postSweep(t *testing.T, ts *httptest.Server, spec string) submitBody {
 
 // canonicalResult returns the canonical JSON encoding of a finished
 // sweep job's result — the bytes that must be identical across cache
-// states, replicas and restarts.
+// states and restarts.
 func canonicalResult(t *testing.T, srv *Server, id string) string {
 	t.Helper()
 	j := srv.lookup(id, kindSweep)
@@ -57,118 +58,53 @@ func canonicalResult(t *testing.T, srv *Server, id string) string {
 	return string(b)
 }
 
-// The peer cache protocol endpoints: refuse junk fingerprints, miss
-// cleanly, round-trip entries, and reject entries that do not hash to
-// the fingerprint they claim.
-func TestCacheProtocolEndpoints(t *testing.T) {
+// A client cannot overwrite a served result. The probe: run an
+// experiment, PUT a copy of its result with the Eq. 1 compute slowdown
+// forged to 9.99 under the experiment's content address, and require
+// that the write is refused and the repeated experiment is still served
+// from cache with the simulated slowdown, bit for bit.
+func TestForgedCacheWriteCannotChangeAnswer(t *testing.T) {
 	_, ts := newTestServer(t)
-	client := ts.Client()
-
-	res := &core.Result{Config: core.Config{Batch: 8}}
-	key, err := res.Config.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(fp string, body any) *http.Response {
-		b, _ := json.Marshal(body)
-		req, err := http.NewRequest(http.MethodPut, ts.URL+store.CachePathPrefix+fp, strings.NewReader(string(b)))
+	const req = `{"gpu":"H100","model":"GPT-3 XL","parallelism":"fsdp","batch":8}`
+	post := func() experimentBody {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(req))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return decode[experimentBody](t, resp, http.StatusOK)
 	}
 
-	// Invalid fingerprints are refused before touching the cache.
-	resp, err := client.Get(ts.URL + store.CachePathPrefix + "NOT-HEX")
+	orig := post()
+	if orig.Point.Res == nil {
+		t.Fatalf("experiment returned no result: %+v", orig.Point)
+	}
+	forged := *orig.Point.Res
+	forged.Char.ComputeSlowdown = 9.99
+	b, err := json.Marshal(&forged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode[errorBody](t, resp, http.StatusBadRequest)
-
-	// A miss is 404.
-	resp, err = client.Get(ts.URL + store.CachePathPrefix + key)
+	put, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+orig.Point.Key, bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode[errorBody](t, resp, http.StatusNotFound)
-
-	// An entry that hashes to a different fingerprint is refused: content
-	// addressing doubles as the anti-poisoning integrity check.
-	other := &core.Result{Config: core.Config{Batch: 999}}
-	if resp := put(key, other); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("mismatched PUT: status %d, want %d", resp.StatusCode, http.StatusConflict)
-	} else {
-		resp.Body.Close()
-	}
-
-	// A valid PUT stores; the GET round-trips it.
-	if resp := put(key, res); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT: status %d, want %d", resp.StatusCode, http.StatusNoContent)
-	} else {
-		resp.Body.Close()
-	}
-	resp, err = client.Get(ts.URL + store.CachePathPrefix + key)
+	resp, err := ts.Client().Do(put)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decode[core.Result](t, resp, http.StatusOK)
-	if got.Config.Batch != 8 {
-		t.Errorf("round-tripped batch %d, want 8", got.Config.Batch)
-	}
-}
-
-// Two replicas meshed through store.HTTPCache + store.Tiered share
-// results: a sweep replica A already ran is served on replica B entirely
-// from cache, with zero fresh simulations.
-func TestPeeredReplicasShareResults(t *testing.T) {
-	memA := sweep.NewMemCache()
-	srvA := New(Options{Cache: memA, LocalCache: memA})
-	tsA := httptest.NewServer(srvA)
-	defer tsA.Close()
-	defer srvA.Close()
-
-	subA := postSweep(t, tsA, distSpec)
-	if body := waitForJob(t, tsA, subA.ID); body.Status != statusDone {
-		t.Fatalf("replica A job: %+v", body)
+	resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		t.Errorf("forged cache write: status %d, want it refused", resp.StatusCode)
 	}
 
-	// Replica B: its own memory tier fronting the mesh, with A the only
-	// peer — so A owns every fingerprint.
-	peer, err := store.NewHTTPCache([]string{tsA.URL}, tsA.Client())
-	if err != nil {
-		t.Fatal(err)
+	again := post()
+	if !again.Point.CacheHit {
+		t.Error("repeated experiment missed the cache")
 	}
-	memB := sweep.NewMemCache()
-	srvB := New(Options{Cache: store.NewTiered(memB, peer), LocalCache: memB})
-	tsB := httptest.NewServer(srvB)
-	defer tsB.Close()
-	defer srvB.Close()
-
-	subB := postSweep(t, tsB, distSpec)
-	bodyB := waitForJob(t, tsB, subB.ID)
-	if bodyB.Status != statusDone {
-		t.Fatalf("replica B job: %+v", bodyB)
-	}
-	if bodyB.CacheHits != subB.Points || bodyB.CacheMisses != 0 {
-		t.Errorf("replica B simulated fresh points: %d hits / %d misses over %d points",
-			bodyB.CacheHits, bodyB.CacheMisses, subB.Points)
-	}
-	for _, p := range bodyB.Points {
-		if !p.CacheHit {
-			t.Errorf("point %d on replica B was not a cache hit", p.Index)
-		}
-	}
-	// The peer fetches must have been promoted into B's own tier.
-	if memB.Len() == 0 {
-		t.Error("no entries promoted into replica B's memory tier")
-	}
-	// And the shared results are byte-identical across the mesh.
-	if a, b := canonicalResult(t, srvA, subA.ID), canonicalResult(t, srvB, subB.ID); a != b {
-		t.Error("canonical results differ between replicas")
+	want, got := orig.Point.Res.Char.ComputeSlowdown, again.Point.Res.Char.ComputeSlowdown
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("repeated experiment serves compute slowdown %v, want the simulated %v", got, want)
 	}
 }
 
@@ -221,11 +157,11 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 }
 
 // stateDirServer builds a server wired the way cmd/overlapd wires a
-// -state-dir: a durable cache tier and a job journal under one
-// directory.
+// -state-dir: the cache store.Compose builds over DIR/cache and a job
+// journal under the same directory.
 func stateDirServer(t *testing.T, dir string) (*Server, *httptest.Server, func()) {
 	t.Helper()
-	dc, err := sweep.NewDirCache(filepath.Join(dir, "cache"))
+	cache, err := store.Compose(filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +169,7 @@ func stateDirServer(t *testing.T, dir string) (*Server, *httptest.Server, func()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := store.NewTiered(sweep.NewMemCache(), dc)
-	srv := New(Options{Cache: local, LocalCache: local, Journal: jn, Workers: 1})
+	srv := New(Options{Cache: cache, Journal: jn, Workers: 1})
 	ts := httptest.NewServer(srv)
 	return srv, ts, func() {
 		ts.Close()

@@ -19,18 +19,17 @@
 //	GET    /v1/advise/{id}         — job status and (when done) frontier + recommendation
 //	GET    /v1/advise/{id}/events  — live progress stream (SSE)
 //	DELETE /v1/advise/{id}         — cancel a running job, or forget a finished one
-//	GET    /v1/cache/{fingerprint} — peer cache protocol: fetch a result by content address
-//	PUT    /v1/cache/{fingerprint} — peer cache protocol: store a result
 //	GET    /v1/catalog             — available GPUs, systems, models, strategies,
 //	                                 formats, advisor objectives
+//	GET    /metrics                — Prometheus text exposition
+//	GET    /v1/stats               — JSON mirror of the metrics, uptime and job ledger
 //	GET    /healthz                — liveness
 //
-// Deployments scale out by composing these: a store.Tiered cache whose
-// last tier is a store.HTTPCache over the peer replicas turns N
-// overlapds into a share-nothing cache mesh, a store.Journal makes jobs
-// survive restarts (interrupted jobs resume against the warm cache),
-// and the server-wide singleflight collapses a thundering herd of
-// identical experiments into one simulation.
+// Only simulations write the result cache: no endpoint stores a
+// client-supplied result. A store.Journal makes jobs survive restarts
+// (interrupted jobs resume against the warm cache), and the server-wide
+// singleflight collapses a thundering herd of identical experiments
+// into one simulation.
 package service
 
 import (
@@ -62,11 +61,6 @@ import (
 type Options struct {
 	// Cache is the shared result cache; nil creates a fresh MemCache.
 	Cache sweep.Cache
-	// LocalCache is what the peer cache protocol (/v1/cache/{fp})
-	// serves; nil means Cache. Meshed deployments pass the local tiers
-	// only, so a peer's lookup is answered from this replica's own
-	// storage and never recurses back into the mesh.
-	LocalCache sweep.Cache
 	// Journal, when set, makes jobs durable: submissions and terminal
 	// results are journaled, and a restarted server lists finished jobs
 	// and resumes interrupted ones against the warm cache.
@@ -214,10 +208,6 @@ func New(opts Options) *Server {
 	s.handle("GET /v1/advise/{id}", s.handleGet(kindAdvise))
 	s.handle("GET /v1/advise/{id}/events", s.handleEvents(kindAdvise))
 	s.handle("DELETE /v1/advise/{id}", s.handleCancel(kindAdvise))
-	// The peer cache protocol: replicas (and CLIs) fetch and store
-	// results by fingerprint, making this replica one shard of the mesh.
-	s.handle("GET "+store.CachePathPrefix+"{fp}", s.handleCacheGet)
-	s.handle("PUT "+store.CachePathPrefix+"{fp}", s.handleCachePut)
 	// The metrics endpoint is deliberately uninstrumented: scrapes should
 	// not inflate the request series they are reading.
 	s.mux.Handle("GET /metrics", telemetry.Default.Handler())

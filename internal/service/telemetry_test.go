@@ -2,12 +2,16 @@ package service
 
 import (
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"overlapsim/internal/store"
 	"overlapsim/internal/telemetry"
 )
 
@@ -119,9 +123,19 @@ func checkExposition(t *testing.T, text string) {
 // The e2e telemetry contract: a cold sweep then the identical sweep
 // again; the warm pass must raise the cache-hit counter by the grid
 // size, the exposition must stay parseable throughout, and /v1/stats
-// must mirror it in JSON.
+// must mirror it in JSON. The server runs on the cache cmd/overlapd
+// builds without a cache directory, whose lookups are labelled "mem".
 func TestMetricsColdWarmSweep(t *testing.T) {
-	_, ts := newTestServer(t)
+	cache, err := store.Compose("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{Cache: cache})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
 	const hitSeries = `sweep_cache_requests_total{backend="mem",outcome="hit"}`
 	const missSeries = `sweep_cache_requests_total{backend="mem",outcome="miss"}`
 
@@ -226,5 +240,51 @@ func TestJobBodyCarriesEngineStats(t *testing.T) {
 	cut := func(s string) string { return s[strings.Index(s, "engine:"):] }
 	if cut(aggs[0]) != cut(aggs[1]) {
 		t.Errorf("engine stats differ across cache:\ncold: %s\nwarm: %s", aggs[0], aggs[1])
+	}
+}
+
+// README's metric reference documents exactly the registered families:
+// every family on telemetry.Default is named in the table's first
+// column, and every name there is registered. This test binary links
+// service, sweep, store, opt and calib, which register every production
+// family.
+func TestReadmeMetricTableMatchesRegistry(t *testing.T) {
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(b), "### Metric reference\n")
+	if !ok {
+		t.Fatal("README has no Metric reference section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		// Backticked names sit at the odd indices; a {…} suffix lists
+		// labels, not part of the family name.
+		for i, name := range strings.Split(cells[1], "`") {
+			if i%2 == 1 {
+				name, _, _ = strings.Cut(name, "{")
+				documented[name] = true
+			}
+		}
+	}
+	registered := map[string]bool{}
+	for _, fam := range telemetry.Default.Snapshot() {
+		registered[fam.Name] = true
+	}
+	for _, name := range slices.Sorted(maps.Keys(registered)) {
+		if !documented[name] {
+			t.Errorf("family %s is registered but missing from README's metric reference", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(documented)) {
+		if !registered[name] {
+			t.Errorf("README's metric reference names %s, which no package registers", name)
+		}
 	}
 }

@@ -1,51 +1,18 @@
 package store
 
-import (
-	"strings"
+import "overlapsim/internal/sweep"
 
-	"overlapsim/internal/sweep"
-)
-
-// Compose builds the standard lookup path the CLIs and overlapd share:
-// a memory tier, then the cache directory (when non-empty), then the
-// peer mesh (when peers, a comma-separated list of overlapd base URLs,
-// is non-empty). Reads promote toward memory; writes publish through
-// every tier, so a CLI run warms the mesh for everyone else.
-func Compose(cacheDir, peers string) (*Tiered, error) {
-	tiers := []sweep.Cache{sweep.NewMemCache()}
-	if cacheDir != "" {
-		dc, err := sweep.NewDirCache(cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		tiers = append(tiers, dc)
+// Compose builds the result cache overlapd and the CLIs share: memory
+// alone when cacheDir is empty, otherwise a Tiered of memory in front of
+// the cache directory, so directory hits are promoted into memory and
+// fresh results are written through to both.
+func Compose(cacheDir string) (sweep.Cache, error) {
+	if cacheDir == "" {
+		return sweep.NewMemCache(), nil
 	}
-	if list := SplitPeers(peers); len(list) > 0 {
-		hc, err := NewHTTPCache(list, nil)
-		if err != nil {
-			return nil, err
-		}
-		tiers = append(tiers, hc)
+	dc, err := sweep.NewDirCache(cacheDir)
+	if err != nil {
+		return nil, err
 	}
-	return NewTiered(tiers...), nil
-}
-
-// SplitPeers parses a comma-separated peer list the way operators write
-// them: entries are whitespace-trimmed, empties (trailing commas,
-// doubled commas, a blank flag) are dropped, and duplicates collapse to
-// the first occurrence so one peer is never dialed twice per lookup.
-// Compose and the overlapd -peers flag share it, so the CLI and the
-// library accept the same grammar.
-func SplitPeers(peers string) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, p := range strings.Split(peers, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" || seen[p] {
-			continue
-		}
-		seen[p] = true
-		out = append(out, p)
-	}
-	return out
+	return NewTiered(sweep.NewMemCache(), dc), nil
 }

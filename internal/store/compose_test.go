@@ -10,58 +10,35 @@ import (
 	"overlapsim/internal/sweep"
 )
 
-// Compose must accept peer lists the way operators actually write them
-// on a command line: spaces after commas, trailing commas, duplicated
-// entries. Before the splitPeers fix, a trailing comma produced an
-// empty peer URL and Compose hard-failed.
-func TestComposePeerParsing(t *testing.T) {
-	cases := []struct {
-		name  string
-		peers string
-		want  []string
-	}{
-		{"plain", "http://a:1,http://b:2", []string{"http://a:1", "http://b:2"}},
-		{"spaced", "http://a:1, http://b:2", []string{"http://a:1", "http://b:2"}},
-		{"trailing comma", "http://a:1,http://b:2,", []string{"http://a:1", "http://b:2"}},
-		{"doubled comma", "http://a:1,,http://b:2", []string{"http://a:1", "http://b:2"}},
-		{"duplicates", "http://a:1,http://b:2, http://a:1", []string{"http://a:1", "http://b:2"}},
-		{"only separators", " , ,", nil},
-		{"empty", "", nil},
+// Compose builds the one local stack overlapd and the CLIs share: bare
+// memory without a cache directory, so the daemon's default lookups are
+// labelled backend="mem" on sweep_cache_requests_total, and a Tiered of
+// memory in front of the directory with one.
+func TestComposeStack(t *testing.T) {
+	c, err := Compose("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tiered, err := Compose("", tc.peers)
-			if err != nil {
-				t.Fatalf("Compose(%q): %v", tc.peers, err)
-			}
-			var hc *HTTPCache
-			for _, tier := range tiered.Tiers() {
-				if c, ok := tier.(*HTTPCache); ok {
-					if hc != nil {
-						t.Fatal("Compose built more than one peer tier")
-					}
-					hc = c
-				}
-			}
-			if tc.want == nil {
-				if hc != nil {
-					t.Fatalf("peer tier built from %q, want none", tc.peers)
-				}
-				return
-			}
-			if hc == nil {
-				t.Fatalf("no peer tier built from %q", tc.peers)
-			}
-			got := hc.Peers()
-			if len(got) != len(tc.want) {
-				t.Fatalf("peers = %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("peers = %v, want %v", got, tc.want)
-				}
-			}
-		})
+	if _, ok := c.(*sweep.MemCache); !ok {
+		t.Fatalf("Compose(\"\") = %T, want *sweep.MemCache", c)
+	}
+
+	c, err = Compose(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, ok := c.(*Tiered)
+	if !ok {
+		t.Fatalf("Compose(dir) = %T, want *Tiered", c)
+	}
+	if len(tiered.tiers) != 2 {
+		t.Fatalf("Compose(dir) has %d tiers, want memory then directory", len(tiered.tiers))
+	}
+	if _, ok := tiered.tiers[0].(*sweep.MemCache); !ok {
+		t.Errorf("tier 0 = %T, want *sweep.MemCache", tiered.tiers[0])
+	}
+	if _, ok := tiered.tiers[1].(*sweep.DirCache); !ok {
+		t.Errorf("tier 1 = %T, want *sweep.DirCache", tiered.tiers[1])
 	}
 }
 

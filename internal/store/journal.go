@@ -45,6 +45,10 @@ const (
 	OpFinish = "finish"
 )
 
+// maxRecordBytes bounds one journal line at recovery; a terminal record
+// carries a whole sweep result, which is at most a few MB.
+const maxRecordBytes = 64 << 20
+
 // Journal is an append-only record log with per-record checksum
 // framing: one record per line, "crc32(payload) payload\n". A process
 // killed mid-append can only ever leave a torn final line, which the
@@ -103,7 +107,7 @@ func (j *Journal) recover() (int64, error) {
 	}
 	var good int64
 	sc := bufio.NewScanner(j.f)
-	sc.Buffer(make([]byte, 64<<10), maxEntryBytes)
+	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		lineEnd := good + int64(len(line)) + 1 // +1 for the newline

@@ -2,7 +2,7 @@ package store
 
 import "overlapsim/internal/telemetry"
 
-// Process-wide distributed-tier instrumentation on the default
+// Process-wide store instrumentation on the default
 // telemetry registry, served by overlapd's /metrics and /v1/stats.
 var (
 	mFlightLeaders = telemetry.Default.Counter("store_flight_leaders_total",
@@ -11,30 +11,9 @@ var (
 		"Singleflight waiters coalesced onto another caller's in-flight computation.")
 	mTieredPromotions = telemetry.Default.Counter("store_tiered_promotions_total",
 		"Cache entries promoted into a faster tier after a lower-tier hit.")
-	mPeerRequests = telemetry.Default.CounterVec("store_peer_cache_requests_total",
-		"Peer cache protocol requests, by operation and outcome.",
-		"op", "outcome")
 	mJournal = telemetry.Default.CounterVec("store_journal_records_total",
 		"Job journal records, by event: appended, recovered at open, or skipped (torn tail).",
 		"event")
-)
-
-// peerOp is the closed vocabulary of peer cache operations.
-type peerOp string
-
-const (
-	peerOpGet peerOp = "get"
-	peerOpPut peerOp = "put"
-)
-
-// peerOutcome is the closed vocabulary of peer request outcomes.
-type peerOutcome string
-
-const (
-	peerOutcomeHit   peerOutcome = "hit"
-	peerOutcomeMiss  peerOutcome = "miss"
-	peerOutcomeOK    peerOutcome = "ok"
-	peerOutcomeError peerOutcome = "error"
 )
 
 // journalOp is the closed vocabulary of journal record events.
@@ -45,10 +24,6 @@ const (
 	journalOpRecovered journalOp = "recovered"
 	journalOpSkipped   journalOp = "skipped"
 )
-
-func notePeer(op peerOp, outcome peerOutcome) {
-	mPeerRequests.With(string(op), string(outcome)).Inc()
-}
 
 func noteJournal(event journalOp) {
 	mJournal.With(string(event)).Inc()

@@ -1,20 +1,16 @@
-// Package store is the distributed serving tier behind overlapd: the
-// pieces that turn one process's content-addressed result cache into a
-// cluster-wide, restart-surviving substrate.
+// Package store is the serving substrate behind overlapd: the pieces
+// that make one process's content-addressed result cache durable across
+// restarts and its jobs coalesced and recoverable.
 //
 // Everything here leans on the same invariant the sweep caches already
 // exploit: a simulation result is a pure function of its canonical
-// config fingerprint. That makes every layer trivial to distribute —
-// entries never invalidate, replicas never disagree, and any copy of a
+// config fingerprint. Entries never invalidate, and any copy of a
 // result is as good as any other.
 //
-//   - Tiered composes sweep.Cache backends (Mem → Dir → peers) with
-//     write-back promotion, so hot entries migrate toward the fastest
-//     tier.
-//   - HTTPCache is a peer backend speaking the tiny GET/PUT-by-
-//     fingerprint protocol overlapd serves under /v1/cache/{fp},
-//     sharding ownership across replicas by rendezvous hashing — a
-//     share-nothing cache mesh with no coordinator.
+//   - Compose builds the one local cache stack overlapd and the CLIs
+//     share: memory, then a cache directory when one is given.
+//   - Tiered composes sweep.Cache backends (Mem → Dir) with write-back
+//     promotion, so hot entries migrate toward the fastest tier.
 //   - Flight coalesces concurrent computations of the same fingerprint
 //     onto one leader; a thundering herd of identical experiments
 //     simulates exactly once per process.

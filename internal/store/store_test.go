@@ -79,7 +79,7 @@ func TestTieredPartialWriteFailure(t *testing.T) {
 
 func TestTieredSkipsNilBackends(t *testing.T) {
 	mem := sweep.NewMemCache()
-	if n := len(NewTiered(nil, mem, nil).Tiers()); n != 1 {
+	if n := len(NewTiered(nil, mem, nil).tiers); n != 1 {
 		t.Errorf("NewTiered kept %d tiers, want 1 (nils skipped)", n)
 	}
 }
@@ -243,30 +243,5 @@ func TestFlightWaiterRetriesAfterCancelledLeader(t *testing.T) {
 	close(release)
 	if res := <-waiterDone; res != want {
 		t.Errorf("waiter got %+v, want its own computation's result after retry", res)
-	}
-}
-
-func TestValidFingerprint(t *testing.T) {
-	long := make([]byte, 129)
-	for i := range long {
-		long[i] = 'a'
-	}
-	cases := []struct {
-		key  string
-		want bool
-	}{
-		{"0123456789abcdef", true},
-		{"deadbeef", true},
-		{"", false},
-		{"DEADBEEF", false},            // uppercase
-		{"deadbeefg", false},           // non-hex
-		{"../../../etc/passwd", false}, // path traversal
-		{"dead beef", false},           // whitespace
-		{string(long), false},          // oversized
-	}
-	for _, tc := range cases {
-		if got := ValidFingerprint(tc.key); got != tc.want {
-			t.Errorf("ValidFingerprint(%q) = %v, want %v", tc.key, got, tc.want)
-		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // Tiered composes cache backends into one sweep.Cache, ordered fastest
 // first. Get walks the tiers in order and, on a hit in a lower tier,
 // promotes the entry into every tier above it (write-back promotion),
-// so results fetched from disk or a peer are served from memory next
-// time. Put writes through to every tier.
+// so results read from disk are served from memory next time. Put
+// writes through to every tier.
 //
 // Because entries are content-addressed and immutable, promotion and
 // write-through need no coherence protocol: concurrent writers of the
@@ -29,11 +29,6 @@ func NewTiered(tiers ...sweep.Cache) *Tiered {
 		}
 	}
 	return t
-}
-
-// Tiers returns the composed backends in lookup order.
-func (t *Tiered) Tiers() []sweep.Cache {
-	return append([]sweep.Cache(nil), t.tiers...)
 }
 
 // Get implements sweep.Cache with write-back promotion.

@@ -184,7 +184,9 @@ type FamilySnapshot struct {
 }
 
 // Snapshot returns a point-in-time JSON-encodable view of every family,
-// sorted by name — the /v1/stats mirror of the /metrics exposition.
+// sorted by name — the /v1/stats mirror of the /metrics exposition. A
+// labelled family with no series yet is listed with no samples, where
+// the text exposition omits it.
 func (r *Registry) Snapshot() []FamilySnapshot {
 	fams := r.families()
 	out := make([]FamilySnapshot, 0, len(fams))
@@ -196,12 +198,10 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			children[i] = f.children[k]
 		}
 		f.mu.RUnlock()
-		if len(keys) == 0 {
-			continue
-		}
 		// Deterministic series order, matching the text exposition.
 		sort.Sort(&keyedChildren{keys, children})
-		snap := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ}
+		snap := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ,
+			Samples: make([]SampleSnapshot, 0, len(keys))}
 		for i, key := range keys {
 			var s SampleSnapshot
 			if len(f.labels) > 0 {

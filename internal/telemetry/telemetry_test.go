@@ -192,6 +192,31 @@ func TestSnapshotMirrorsText(t *testing.T) {
 	}
 }
 
+// A labelled family with no series yet is still listed, with an empty
+// sample list, so the snapshot names every registered family.
+func TestSnapshotListsEmptyFamilies(t *testing.T) {
+	r := NewRegistry()
+	r.CounterVec("idle_total", "idle", "k")
+	snaps := r.Snapshot()
+	if len(snaps) != 1 || snaps[0].Name != "idle_total" {
+		t.Fatalf("snapshot = %+v, want the one idle family", snaps)
+	}
+	b, err := json.Marshal(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"samples":[]`) {
+		t.Errorf("idle family encodes as %s, want an empty samples list", b)
+	}
+	var text strings.Builder
+	if err := r.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if text.Len() != 0 {
+		t.Errorf("text exposition of an idle family = %q, want nothing", text.String())
+	}
+}
+
 func TestHandlerServesExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served_total", "s").Inc()
