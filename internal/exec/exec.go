@@ -67,6 +67,11 @@ type Plan struct {
 	// plan has no record to read.
 	built       bool
 	collectives []*sim.Task
+	// replicas are the devices the builder declared rank-symmetric, and
+	// census its tally of what it made through symmetric calls; nil
+	// replicas when it declared none (see DeclaredClasses).
+	replicas []int
+	census   sim.Census
 	// alias maps every device to its class representative after a
 	// collapsed run, nil when the plan ran in full. It feeds both the
 	// cluster's telemetry back-fill and measurement extraction.
@@ -83,18 +88,27 @@ func (p *Plan) Run() error {
 // ctx is cancelled. A cancelled plan cannot be re-run.
 //
 // Before running, the plan applies the rank-symmetry fast path: it
-// detects structurally identical devices, simulates one representative
-// per class, and reconstructs the ghost ranks' timelines and telemetry
-// afterwards — bit-identical to the full simulation, O(classes) instead
-// of O(ranks). Collapse requires a deterministic rate model; jittered
-// clusters always run in full, and so does a plan not made by Builder.
+// takes the symmetry classes of its devices, simulates one
+// representative per class, and reconstructs the ghost ranks' timelines
+// and telemetry afterwards — bit-identical to the full simulation,
+// O(classes) instead of O(ranks). The classes are the builder's
+// declaration when DeclaredClasses returns one (FSDP), with no detection
+// pass; otherwise DetectClasses proves them (DDP, TP, pipeline, and a
+// declared plan whose engine holds something its builder's symmetric
+// calls did not make). Collapse requires a deterministic rate model;
+// jittered clusters always run in full, and so does a plan not made by
+// Builder.
 func (p *Plan) RunContext(ctx context.Context) error {
 	if p.ran {
 		return fmt.Errorf("exec: plan already ran")
 	}
 	p.ran = true
 	if p.built && !p.NoCollapse && (p.Cluster == nil || p.Cluster.Deterministic()) {
-		classes := p.mergeableClasses(p.Engine.DetectClasses(PayloadEq))
+		classes := p.DeclaredClasses()
+		if classes == nil {
+			classes = p.Engine.DetectClasses(PayloadEq)
+		}
+		classes = p.mergeableClasses(classes)
 		if p.Engine.Collapse(classes) > 0 {
 			p.alias = p.aliasVector(classes)
 			if p.Cluster != nil {
@@ -231,10 +245,13 @@ func NewChain() *Chain { return &Chain{} }
 
 // Order makes t run after every previously ordered operation on each of
 // the listed devices, then records t as those devices' latest operation.
-func (c *Chain) Order(t *sim.Task, devices ...int) {
+// It returns the number of dependency edges it added.
+func (c *Chain) Order(t *sim.Task, devices ...int) int {
+	edges := 0
 	for _, d := range devices {
 		if prev := c.Last(d); prev != nil && prev != t {
 			t.After(prev)
+			edges++
 		}
 	}
 	for _, d := range devices {
@@ -243,6 +260,7 @@ func (c *Chain) Order(t *sim.Task, devices ...int) {
 		}
 		c.last[d] = t
 	}
+	return edges
 }
 
 // Last returns the most recent operation ordered on the device, or nil.

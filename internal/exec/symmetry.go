@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"overlapsim/internal/collective"
 	"overlapsim/internal/kernels"
@@ -88,6 +89,34 @@ func collectiveDescEq(a, b collective.Desc) bool {
 // has run (nil afterwards). Detection does not modify the schedule.
 func (p *Plan) SymmetryClasses() []sim.Class {
 	return p.Engine.DetectClasses(PayloadEq)
+}
+
+// DeclaredClasses returns the device partition the plan's builder
+// declared — every declared replica in one class, every other device
+// alone, in the order DetectClasses lists them — or nil when the builder
+// declared none or the guard fails. The guard is made only of counts:
+// the engine's Census (tasks, dependency edges, completion callbacks and
+// streams) must equal the builder's tally of what its symmetric calls
+// made. Everything tallied is on the engine, so any other task, edge,
+// callback or stream — a raw After, a stray ComputeOn or Order, a
+// partial fan-out, an extra stream on a replica, an OnDone — breaks the
+// equality, and the plan falls back to DetectClasses: slower, never
+// wrong.
+func (p *Plan) DeclaredClasses() []sim.Class {
+	if p.replicas == nil || p.Engine.Census() != p.census {
+		return nil
+	}
+	lo, hi := p.replicas[0], p.replicas[len(p.replicas)-1]+1
+	var classes []sim.Class
+	for d := 0; d < p.Cluster.N(); d++ {
+		switch {
+		case d == lo:
+			classes = append(classes, sim.Class{Members: slices.Clone(p.replicas)})
+		case d < lo || d >= hi:
+			classes = append(classes, sim.Class{Members: []int{d}})
+		}
+	}
+	return classes
 }
 
 // mergeableClasses filters the detected partition down to the

@@ -59,7 +59,24 @@ func withDefaults(p strategy.Params) strategy.Params {
 // Build constructs the full multi-iteration task graph on a fresh engine
 // bound to the cluster. It returns a model.ErrOOM if the configuration
 // does not fit in device memory (the paper's A100 constraint).
+//
+// The plan declares its rank symmetry: ranks 1..n-1 run the same graph
+// and form one class, while rank 0 stays alone because it hosts the
+// communication streams (in sequential mode the seqcomm.* streams).
+// Every task, edge and stream comes from a symmetric Builder call, so
+// the plan collapses without a detection pass.
 func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
+	b, err := newBuilder(cl, p)
+	if err != nil {
+		return nil, err
+	}
+	return b.Plan(b.cfg.Warmup, b.cfg.Iterations, b.buildIteration), nil
+}
+
+// newBuilder validates the configuration and starts the plan: the
+// builder with its declared replicas and, in overlapped mode, its
+// communication streams.
+func newBuilder(cl *gpu.Cluster, p strategy.Params) (*builder, error) {
 	p = withDefaults(p)
 	if err := p.Model.Validate(); err != nil {
 		return nil, err
@@ -85,15 +102,16 @@ func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 	// allocation covers the whole plan in one reservation.
 	estimate := (p.Warmup + p.Iterations) * (accum*(2*L*(n+1)+3*n+2) + L + 2 + n)
 	b := &builder{Builder: exec.NewBuilder(cl, p.Mode, estimate), cfg: p, n: n, local: local}
+	b.DeclareReplicas(1, n)
 	if !b.Sequential() {
 		// Two communicator streams, as in PyTorch FSDP/DeepSpeed: one
 		// serializes the parameter all-gathers (prefetch), the other the
 		// gradient reduce-scatters, so backward gathers are not stalled
 		// behind pending reductions.
-		b.agS = b.Eng.NewStream("comm.allgather", 0)
-		b.rsS = b.Eng.NewStream("comm.reducescatter", 0)
+		b.agS = b.NewStream("comm.allgather", 0)
+		b.rsS = b.NewStream("comm.reducescatter", 0)
 	}
-	return b.Plan(p.Warmup, p.Iterations, b.buildIteration), nil
+	return b, nil
 }
 
 // builder holds the incremental graph-construction state.
@@ -120,12 +138,6 @@ func (b *builder) newCollective(name string, op collective.Op, bytes float64) *s
 // fused kernel op (identical work on every rank under data parallelism).
 func (b *builder) newCompute(name string, op exec.Op) []*sim.Task {
 	return b.Compute(name, op, 0, b.n)
-}
-
-func after(ts []*sim.Task, deps ...*sim.Task) {
-	for _, t := range ts {
-		t.After(deps...)
-	}
 }
 
 // buildIteration appends one training iteration to the graph and returns
@@ -159,19 +171,17 @@ func (b *builder) buildIteration(it int) {
 		// Forward pass.
 		agEmbed := b.newCollective(tag+".ag.embed", collective.AllGather, embedBytes)
 		embedF := b.newCompute(tag+".fwd.embed", embedOp)
-		after(embedF, agEmbed)
+		b.After(embedF, agEmbed)
 		prev := prevStepB
 		if step == 0 {
 			// Iteration barrier: the embedding all-gather waits on every
 			// rank's optimizer step and gates every rank's first compute,
 			// so that compute needs a direct edge only to its own rank's
 			// step. Edges to every rank's step would cost ranks².
-			agEmbed.After(b.Last...)
+			b.After([]*sim.Task{agEmbed}, b.Last...)
 			prev = b.Last
 		}
-		for d, t := range embedF {
-			t.After(prev[d])
-		}
+		b.Pairwise(embedF, prev)
 
 		agFwdPrefix, fwdPrefix := tag+".ag.fwd.l", tag+".fwd.l"
 		agF := make([]*sim.Task, L)
@@ -181,33 +191,26 @@ func (b *builder) buildIteration(it int) {
 			if !b.Sequential() && i >= pref {
 				// Bound prefetch: gather of layer i waits for compute of
 				// layer i-pref.
-				after([]*sim.Task{agF[i]}, fF[i-pref]...)
+				b.After([]*sim.Task{agF[i]}, fF[i-pref]...)
 			}
 			fF[i] = b.newCompute(b.Name(fwdPrefix, i), fwdOp)
-			after(fF[i], agF[i])
+			b.After(fF[i], agF[i])
 			if i == 0 {
-				for d, t := range fF[i] {
-					t.After(embedF[d])
-				}
+				b.Pairwise(fF[i], embedF)
 			} else {
-				for d, t := range fF[i] {
-					t.After(fF[i-1][d])
-				}
+				b.Pairwise(fF[i], fF[i-1])
 			}
 		}
 
 		// LM head + loss.
 		headF := b.newCompute(tag+".fwd.lmhead", logitsOp)
-		for d, t := range headF {
-			t.After(fF[L-1][d], agEmbed)
-		}
+		b.Pairwise(headF, fF[L-1])
+		b.After(headF, agEmbed)
 		headB := b.newCompute(tag+".bwd.lmhead", headBwdOp)
-		for d, t := range headB {
-			t.After(headF[d])
-		}
+		b.Pairwise(headB, headF)
 		if lastStep {
 			rsEmbed = b.newCollective(tag+".rs.embed", collective.ReduceScatter, embedBytes)
-			after([]*sim.Task{rsEmbed}, headB...)
+			b.After([]*sim.Task{rsEmbed}, headB...)
 		}
 
 		// Backward pass (reverse layer order).
@@ -217,22 +220,18 @@ func (b *builder) buildIteration(it int) {
 		for i := L - 1; i >= 0; i-- {
 			agB[i] = b.newCollective(b.Name(agBwdPrefix, i), collective.AllGather, layerBytes)
 			if !b.Sequential() && i <= L-1-pref {
-				after([]*sim.Task{agB[i]}, fB[i+pref]...)
+				b.After([]*sim.Task{agB[i]}, fB[i+pref]...)
 			}
 			fB[i] = b.newCompute(b.Name(bwdPrefix, i), bwdOp)
-			after(fB[i], agB[i])
+			b.After(fB[i], agB[i])
 			if i == L-1 {
-				for d, t := range fB[i] {
-					t.After(headB[d])
-				}
+				b.Pairwise(fB[i], headB)
 			} else {
-				for d, t := range fB[i] {
-					t.After(fB[i+1][d])
-				}
+				b.Pairwise(fB[i], fB[i+1])
 			}
 			if lastStep {
 				rs := b.newCollective(b.Name(rsPrefix, i), collective.ReduceScatter, layerBytes)
-				after([]*sim.Task{rs}, fB[i]...)
+				b.After([]*sim.Task{rs}, fB[i]...)
 				lastRS = rs
 			}
 		}
@@ -242,9 +241,8 @@ func (b *builder) buildIteration(it int) {
 	// Optimizer step over the local shard.
 	shard := m.TotalParams() / float64(b.n)
 	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), b.KernelOp(m.OptimizerKernel(shard)))
-	for d, t := range opt {
-		t.After(lastRS, rsEmbed, prevStepB[d])
-	}
+	b.After(opt, lastRS, rsEmbed)
+	b.Pairwise(opt, prevStepB)
 	b.Last = opt
 }
 

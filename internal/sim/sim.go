@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind classifies a task for rate computation and tracing.
@@ -150,16 +151,59 @@ func (t *Task) After(deps ...*Task) *Task {
 		}
 		d.succs = append(d.succs, t)
 		t.deps++
+		if t.eng != nil {
+			t.eng.edges++
+		}
 	}
 	return t
+}
+
+// Gates makes every task of ts wait for t, as After(t) on each in order
+// would, but grows t's successor list once for the whole fan-in instead
+// of by append doubling. It returns the number of edges added.
+func (t *Task) Gates(ts []*Task) int {
+	if t.st == stateDone {
+		return 0
+	}
+	if t.succs == nil && t.eng != nil {
+		t.succs = t.eng.succChunk()
+	}
+	t.succs = slices.Grow(t.succs, len(ts))
+	edges := 0
+	for _, s := range ts {
+		if s == nil {
+			continue
+		}
+		t.succs = append(t.succs, s)
+		s.deps++
+		if s.eng != nil {
+			s.eng.edges++
+		}
+		edges++
+	}
+	return edges
 }
 
 // OnDone registers a callback invoked when the task completes. Callbacks may
 // create new tasks and enqueue them on streams.
 func (t *Task) OnDone(f func(now float64)) *Task {
 	t.onDone = append(t.onDone, f)
+	if t.eng != nil {
+		t.eng.callbacks++
+	}
 	return t
 }
+
+// Mirror returns the task's class-representative counterpart (see
+// symmetry.go), or nil when none is recorded.
+func (t *Task) Mirror() *Task { return t.mirror }
+
+// SetMirror records rep as the task's class-representative counterpart:
+// the task on the representative device whose timeline Collapse copies
+// to t when t's device is collapsed into rep's class. A builder that
+// declares its symmetry writes it as it fans a kernel out; DetectClasses
+// writes it as it proves a class. A nil rep clears it.
+func (t *Task) SetMirror(rep *Task) { t.mirror = rep }
 
 // Stream is a FIFO command queue. Tasks enqueued on a stream execute in
 // order; at most one task per stream runs at a time.
@@ -177,6 +221,14 @@ func (s *Stream) Name() string { return s.name }
 
 // Device returns the device index the stream belongs to.
 func (s *Stream) Device() int { return s.device }
+
+// Reserve pre-sizes the stream's queue for about n more tasks — one
+// allocation instead of append growth. It is purely an allocation hint.
+func (s *Stream) Reserve(n int) {
+	if n > cap(s.queue)-len(s.queue) {
+		s.queue = slices.Grow(s.queue, n)
+	}
+}
 
 // Len returns the number of tasks not yet completed on the stream.
 func (s *Stream) Len() int { return len(s.queue) - s.head }
@@ -254,6 +306,11 @@ type Engine struct {
 	doneTmp   []*Task // retirement scratch, reused across epochs
 
 	ghosts []*Task // collapsed tasks awaiting timeline reconstruction (symmetry.go)
+
+	// What the engine holds, for Census: dependency edges and completion
+	// callbacks. Kept apart from Stats, which describes a run.
+	edges     int
+	callbacks int
 
 	// Self-stats (see Stats). Plain ints, incremented from the single
 	// scheduler goroutine: counting stays off the allocation path and
@@ -413,16 +470,17 @@ func (e *Engine) NewTask(name string, kind Kind, work float64, payload any, stre
 		//overlaplint:allow nopanic engine invariant: executors always enqueue tasks on at least one stream
 		panic(fmt.Sprintf("sim: task %q enqueued on no stream", name))
 	}
+	// Arena slots are never reused, so the slot is still zero: setting
+	// the non-zero fields one by one skips the zeroing and bulk copy a
+	// composite-literal store makes.
 	t := e.allocTask()
-	*t = Task{
-		name:      name,
-		kind:      kind,
-		work:      work,
-		payload:   payload,
-		remaining: work,
-		seq:       e.nextSeq,
-		eng:       e,
-	}
+	t.name = name
+	t.kind = kind
+	t.work = work
+	t.payload = payload
+	t.remaining = work
+	t.seq = e.nextSeq
+	t.eng = e
 	e.nextSeq++
 	// Dedup the stream set without a map: the overwhelmingly common case
 	// is one or two streams, where a quadratic scan is both faster and

@@ -10,20 +10,45 @@ import (
 // DDP/FSDP/TP training iterations are identical across ranks: every
 // device executes the same kernel sequence with the same dependency
 // shape, so the fluid engine computes the exact same start/end times for
-// every rank of a class. DetectClasses proves that symmetry structurally
-// — it never trusts a builder's word — and Collapse then simulates one
-// representative device per class, reconstructing the other members'
-// timelines by copying the representative's task times after the run.
-// The reconstruction is bit-exact, not approximate: class members would
-// have executed the identical float operations in the identical order,
-// so the golden schedule digests are unchanged while the simulated work
-// drops from O(ranks) to O(classes).
+// every rank of a class. Collapse simulates one representative device
+// per class and reconstructs the other members' timelines by copying the
+// representative's task times after the run. The reconstruction is
+// bit-exact, not approximate: class members would have executed the
+// identical float operations in the identical order, so the golden
+// schedule digests are unchanged while the simulated work drops from
+// O(ranks) to O(classes).
+//
+// A class and its mirrors come from one of two producers. A builder
+// whose ranks are symmetric by construction declares them: it writes
+// each replica task's mirror as it fans the task out (SetMirror), and
+// Census lets it check that the engine holds nothing it did not make
+// through its symmetric calls; FSDP plans do this. DetectClasses proves
+// symmetry structurally instead, trusting no builder's word: it serves
+// the plans that declare nothing (DDP, TP, pipeline, hand-assembled
+// plans) and the declared plans whose census check fails, and it is the
+// oracle the tests hold every declaration to.
 //
 // Detection is conservative by construction. Any device the proof cannot
 // cover — multi-stream (rendezvous) tasks, completion callbacks, a
 // dependency whose position cannot be paired — falls back to a singleton
 // class and is simulated for real. A wrong answer is therefore
 // impossible; the worst case is a missed speedup.
+
+// Census counts what has been made on an engine: tasks, dependency
+// edges, completion callbacks and streams. A builder that declares its
+// symmetry tallies the same four counts over what its symmetric calls
+// made; since everything it tallies is on the engine, equal counts mean
+// the engine holds nothing else.
+type Census struct {
+	Tasks, Edges, Callbacks, Streams int
+}
+
+// Census reports the engine's counts. Edges counts every dependency
+// After recorded, duplicates included; a collapse or a run does not
+// change it.
+func (e *Engine) Census() Census {
+	return Census{Tasks: len(e.tasks), Edges: e.edges, Callbacks: e.callbacks, Streams: len(e.streams)}
+}
 
 // Class is one device symmetry class: Members lists the device indices
 // in ascending order, and Members[0] is the representative that is
@@ -44,6 +69,12 @@ type Class struct {
 // on an engine that already did (or with a nil eq) it returns nil. The
 // result also records, on every task of a non-representative member,
 // which representative task mirrors it — Collapse consumes that mapping.
+// It overwrites any mirror a builder declared on those tasks.
+//
+// DetectClasses is the path of plans whose builder declares no symmetry
+// (DDP, TP, pipeline and hand-assembled plans) and of declared plans
+// whose census no longer matches their builder's tally; tests compare
+// every declaration against it.
 //
 // The proof walks the tasks in creation order — the order they sit in
 // the slab — three times. The first pass records each task's structural
@@ -315,19 +346,22 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 }
 
 // Collapse merges the given multi-member classes (as returned by
-// DetectClasses on this engine): every task on a non-representative
-// member becomes a ghost — marked complete up front, excluded from
-// scheduling — and its outgoing dependency edges are transferred to its
-// representative mirror, so successors outside the class see the exact
+// DetectClasses on this engine, or declared by the builder that wrote
+// the mirrors): every task on a non-representative member becomes a
+// ghost — marked complete up front, excluded from scheduling — and its
+// outgoing dependency edges are transferred to its representative
+// mirror, so successors outside the class see the exact
 // dependency-count decrements at the exact times the full simulation
 // would have produced. After a successful run the ghosts' start/end
 // times are reconstructed from their mirrors.
 //
 // Collapse walks the tasks in creation order three times: a validity
-// pass (every task of a non-representative member has a mirror and is
-// pending, else its class is skipped entirely), a marking pass that
-// ghosts the valid classes' tasks into a list sized by the first pass,
-// and a transfer pass over the ghosts. Every ghost is marked before any
+// pass (every task of a non-representative member is a pending
+// single-stream task with a pending mirror on its class's
+// representative device, else its class is skipped entirely — mirrors
+// have two producers, a builder's declaration and DetectClasses), a
+// marking pass that ghosts the valid classes' tasks into a list sized
+// by the first pass, and a transfer pass over the ghosts. Every ghost is marked before any
 // edge moves, so edges between ghosts drop out. A transferred edge into
 // a successor the mirror already gates does not add a duplicate entry:
 // the successor's in-degree is decremented at collapse time instead,
@@ -390,7 +424,8 @@ func (e *Engine) Collapse(classes []Class) int {
 				continue
 			}
 			if ci := ghostOf[s.device]; ci >= 0 {
-				if t.mirror == nil || t.st != statePending {
+				if m := t.mirror; m == nil || t.st != statePending || len(t.streams) > 1 ||
+					m.st != statePending || m.streams[0].device != classes[ci].Members[0] {
 					valid[ci] = false
 				}
 				count[ci]++
@@ -415,9 +450,9 @@ func (e *Engine) Collapse(classes []Class) int {
 	}
 	e.stCollapsed += int64(collapsed)
 
-	// Marking pass. A task on a valid class's member has a mirror, which
-	// DetectClasses records only for single-stream tasks, so its first
-	// stream is its only one.
+	// Marking pass. The validity pass admitted only single-stream tasks
+	// on a valid class's members, so a task's first stream is its only
+	// one.
 	first := len(e.ghosts)
 	if cap(e.ghosts)-first < total {
 		grown := make([]*Task, first, first+total)

@@ -356,3 +356,87 @@ func TestCollapseWithoutMirrors(t *testing.T) {
 	}
 	requireSameSchedule(t, full, e)
 }
+
+// TestCollapseRejectsForeignMirror: mirrors have two producers, a
+// builder's declaration and DetectClasses, so Collapse checks that each
+// ghost's mirror lies on its class's representative device. A hand-set
+// mirror pointing at another ghost must reject the class, leaving the
+// run bit-identical to the full one.
+func TestCollapseRejectsForeignMirror(t *testing.T) {
+	full, _ := symDAG(4, 6, nil)
+	if err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e, tasks := symDAG(4, 6, nil)
+	classes := e.DetectClasses(intEq)
+	tasks[2][3].SetMirror(tasks[3][3])
+	if got := e.Collapse(classes); got != 0 {
+		t.Fatalf("Collapse ghosted %d tasks through a foreign mirror", got)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, full, e)
+}
+
+// TestCensus: the census counts every task, every edge After records
+// (duplicates included, nil and finished dependencies not), every
+// completion callback and every stream, and a collapse leaves it alone.
+func TestCensus(t *testing.T) {
+	e, tasks := symDAG(4, 6, nil)
+	// symDAG: a source and a sink on a shared stream plus 4 ranks × 6
+	// slots; each slot waits for the source or its predecessor, slots
+	// from the third on also for the one before that, and the sink
+	// waits for every rank's last slot.
+	want := Census{Tasks: 2 + 4*6, Edges: 4*(6+4) + 4, Streams: 5}
+	if got := e.Census(); got != want {
+		t.Fatalf("census %+v, want %+v", got, want)
+	}
+	tasks[1][2].After(nil, tasks[0][0], tasks[0][0]).OnDone(func(float64) {})
+	want.Edges += 2
+	want.Callbacks++
+	if got := e.Census(); got != want {
+		t.Fatalf("census %+v, want %+v", got, want)
+	}
+	e.Collapse(e.DetectClasses(intEq))
+	if got := e.Census(); got != want {
+		t.Fatalf("census after collapse %+v, want %+v", got, want)
+	}
+}
+
+// TestGatesMatchesAfter: Gates builds the same successor lists,
+// in-degrees and census as After called on each gated task in order.
+func TestGatesMatchesAfter(t *testing.T) {
+	build := func(gates bool) (*Engine, *Task, []*Task) {
+		e := NewEngine(nil)
+		src := e.NewTask("src", KindComm, 1, nil, e.NewStream("comm", 0))
+		var ts []*Task
+		for r := 0; r < 5; r++ {
+			ts = append(ts, e.NewTask(name(r), KindCompute, 1, nil, e.NewStream(name(r), r+1)))
+		}
+		ts[1].After(src) // src already gates a task before the fan-in
+		if gates {
+			src.Gates(ts)
+		} else {
+			for _, task := range ts {
+				task.After(src)
+			}
+		}
+		return e, src, ts
+	}
+	ea, a, ta := build(false)
+	eb, b, tb := build(true)
+	if ea.Census() != eb.Census() || len(a.succs) != len(b.succs) {
+		t.Fatalf("census %+v vs %+v, %d vs %d successors", ea.Census(), eb.Census(), len(a.succs), len(b.succs))
+	}
+	for i := range a.succs {
+		if a.succs[i].seq != b.succs[i].seq {
+			t.Fatalf("successor %d: %s vs %s", i, a.succs[i].name, b.succs[i].name)
+		}
+	}
+	for i := range ta {
+		if ta[i].deps != tb[i].deps {
+			t.Fatalf("task %d in-degree %d vs %d", i, ta[i].deps, tb[i].deps)
+		}
+	}
+}

@@ -92,23 +92,31 @@ func powerDigest(cfg core.Config) (string, error) {
 		if err := plan.Run(); err != nil {
 			return "", fmt.Errorf("%s (%v): run: %w", powerGoldenLabel(cfg), mode, err)
 		}
-		for _, t := range plan.Engine.Tasks() {
-			h.Write([]byte(t.Name()))
-			h.Write([]byte{0})
-			hashFloat(h, &buf, t.Start())
-			hashFloat(h, &buf, t.End())
-		}
-		cl := plan.Cluster
-		for i := 0; i < cl.N(); i++ {
-			st := cl.PowerStats(i)
-			fmt.Fprintf(h, "gpu=%d\n", i)
-			hashFloat(h, &buf, st.EnergyJ)
-			hashFloat(h, &buf, st.PeakTDP)
-			hashSamples(h, &buf, cl.Sampler(i).Samples())
-			hashSamples(h, &buf, cl.Trace(i).Samples())
-		}
+		hashPlan(h, &buf, plan)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// hashPlan hashes a finished plan's schedule and every GPU's power
+// telemetry.
+func hashPlan(h hash.Hash, buf *[8]byte, plan *exec.Plan) {
+	for _, t := range plan.Engine.Tasks() {
+		h.Write([]byte(t.Name()))
+		h.Write([]byte{0})
+		hashFloat(h, buf, t.Start())
+		hashFloat(h, buf, t.End())
+	}
+	cl := plan.Cluster
+	for i := 0; i < cl.N(); i++ {
+		st := cl.PowerStats(i)
+		fmt.Fprintf(h, "gpu=%d\n", i)
+		hashFloat(h, buf, st.EnergyJ)
+		hashFloat(h, buf, st.PeakTDP)
+		hashSamples(h, buf, cl.Sampler(i).Samples())
+		if tr := cl.Trace(i); tr != nil {
+			hashSamples(h, buf, tr.Samples())
+		}
+	}
 }
 
 // TestGoldenPowerDigests is the safety net for device-model refactors:
