@@ -369,18 +369,23 @@ func fuzzKernel(in *fuzzBytes) kernels.Desc {
 	}
 }
 
-// FuzzClusterRates drives the incremental Cluster and refCluster through
+// FuzzClusterRates drives the memoized Cluster and refCluster through
 // the same random epoch sequence — fused and unfused, prepared and
-// unprepared kernels; collectives whose gates flip; random caps and
-// jitter; running sets that change on one device or on many — and after
-// every epoch demands bit-identical task rates, frequency factors and
-// sampler and trace energies.
+// unprepared kernels; collectives whose gates flip; fan-outs of one
+// kernel descriptor over several devices with a collective spanning
+// them, whose devices hit each other's memo entries; bursts of more
+// tasks on one device than the memo key holds; random caps and jitter;
+// running sets that change on one device, on a fan-out's devices at
+// once, or on many — and after every epoch demands bit-identical task
+// rates, frequency factors and sampler and trace energies.
 func FuzzClusterRates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 1, 7, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{1, 0, 1, 0, 9, 40, 3, 3, 3, 2, 2, 1, 1, 0, 0, 5, 6, 7, 200, 100, 50, 25, 12, 6, 3, 1})
 	f.Add([]byte{4, 1, 3, 1, 33, 90, 250, 17, 4, 99, 23, 1, 5, 8, 13, 21, 34, 55, 89, 144, 233, 1, 2, 4, 8, 16, 32, 64, 128})
 	f.Add([]byte{2, 0, 2, 0, 1, 16, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 3, 3, 3, 3})
+	f.Add([]byte{4, 0, 1, 1, 5, 2, 0, 5, 0, 0, 1, 1, 3, 0, 0, 6, 6, 1, 0, 0, 4, 0, 4, 0, 4, 0, 2, 0, 4, 1, 3, 4, 0, 4, 1})
+	f.Add([]byte{3, 1, 2, 1, 9, 3, 1, 6, 0, 2, 3, 0, 0, 0, 1, 6, 0, 1, 1, 1, 2, 4, 0, 4, 1, 4, 0, 1, 4, 1, 2, 2, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzBytes{b: data}
 		n := 2 + in.pick(5)
@@ -413,56 +418,110 @@ func FuzzClusterRates(f *testing.F) {
 		}
 		var gates []*fuzzGate
 		var specs []spec
+		// groups lists the specs of each fan-out and burst, which an
+		// epoch may start or stop together.
+		var groups [][]int
+		kernel := func(dev int) {
+			d := fuzzKernel(in)
+			if in.pick(2) == 0 {
+				parts := []kernels.Desc{d}
+				for k := in.pick(5); k > 0; k-- {
+					if in.pick(2) == 0 {
+						parts = append(parts, parts[in.pick(len(parts))]) // repeated part
+					} else {
+						parts = append(parts, fuzzKernel(in))
+					}
+				}
+				d = kernels.Fuse("fused", parts...)
+			}
+			if in.pick(2) == 0 {
+				d = kernels.Prepare(d, g)
+			}
+			specs = append(specs, spec{"k", sim.KindCompute, kernels.Work(d), d, dev})
+		}
+		// coll adds a collective, possibly gated: a reducing or gathering
+		// one over ranks when ranks is given, otherwise a send/recv from
+		// dev or a collective over ranks counted from dev.
+		coll := func(dev int, ranks []int) {
+			ops := []collective.Op{collective.AllReduce, collective.AllGather,
+				collective.ReduceScatter, collective.SendRecv}
+			if ranks != nil {
+				ops = ops[:3]
+			}
+			cd := collective.Desc{Name: "c", Op: ops[in.pick(len(ops))], Bytes: float64(int(1) << (20 + in.pick(10)))}
+			switch {
+			case ranks != nil:
+				cd.N, cd.Ranks = len(ranks), ranks
+			case cd.Op == collective.SendRecv:
+				cd.N, cd.Src, cd.Dst = 2, dev, (dev+1+in.pick(n-1))%n
+			default:
+				cd.N = 2 + in.pick(n-1)
+				if in.pick(2) == 0 {
+					for r := 0; r < cd.N; r++ {
+						cd.Ranks = append(cd.Ranks, (dev+r)%n)
+					}
+				}
+			}
+			if err := cd.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			var work float64
+			if in.pick(2) == 0 {
+				cd, work = collective.Prepare(cd, cl.Fabric())
+			} else {
+				work = collective.EffWireBytes(cd, cl.Fabric())
+			}
+			if in.pick(2) == 0 {
+				gate := &fuzzGate{}
+				gates = append(gates, gate)
+				cd.Gate = gate
+			}
+			specs = append(specs, spec{"c", sim.KindComm, work, cd, cd.Participants()[0]})
+		}
+		// group adds the specs add makes as one group.
+		group := func(add func()) {
+			first := len(specs)
+			add()
+			var members []int
+			for i := first; i < len(specs); i++ {
+				members = append(members, i)
+			}
+			groups = append(groups, members)
+		}
 		nTasks := 4 + in.pick(13)
 		for i := 0; i < nTasks; i++ {
 			dev := in.pick(n)
-			switch in.pick(5) {
+			switch in.pick(7) {
 			case 0, 1: // kernel, possibly fused, possibly prepared
-				d := fuzzKernel(in)
-				if in.pick(2) == 0 {
-					parts := []kernels.Desc{d}
-					for k := in.pick(5); k > 0; k-- {
-						if in.pick(2) == 0 {
-							parts = append(parts, parts[in.pick(len(parts))]) // repeated part
-						} else {
-							parts = append(parts, fuzzKernel(in))
-						}
-					}
-					d = kernels.Fuse("fused", parts...)
-				}
-				if in.pick(2) == 0 {
-					d = kernels.Prepare(d, g)
-				}
-				specs = append(specs, spec{"k", sim.KindCompute, kernels.Work(d), d, dev})
+				kernel(dev)
 			case 2, 3: // collective, possibly gated
-				ops := []collective.Op{collective.AllReduce, collective.AllGather,
-					collective.ReduceScatter, collective.SendRecv}
-				cd := collective.Desc{Name: "c", Op: ops[in.pick(len(ops))], Bytes: float64(int(1) << (20 + in.pick(10)))}
-				if cd.Op == collective.SendRecv {
-					cd.N, cd.Src, cd.Dst = 2, dev, (dev+1+in.pick(n-1))%n
-				} else {
-					cd.N = 2 + in.pick(n-1)
-					if in.pick(2) == 0 {
-						for r := 0; r < cd.N; r++ {
-							cd.Ranks = append(cd.Ranks, (dev+r)%n)
-						}
+				coll(dev, nil)
+			case 4: // fan-out: one descriptor on several devices, as exec.Builder.Compute places it, and a collective over them
+				group(func() {
+					d := fuzzKernel(in)
+					if in.pick(4) != 0 {
+						d = kernels.Prepare(d, g)
 					}
-				}
-				if err := cd.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				var work float64
-				if in.pick(2) == 0 {
-					cd, work = collective.Prepare(cd, cl.Fabric())
-				} else {
-					work = collective.EffWireBytes(cd, cl.Fabric())
-				}
-				if in.pick(2) == 0 {
-					gate := &fuzzGate{}
-					gates = append(gates, gate)
-					cd.Gate = gate
-				}
-				specs = append(specs, spec{"c", sim.KindComm, work, cd, cd.Participants()[0]})
+					ranks := make([]int, 2+in.pick(n-1))
+					for r := range ranks {
+						ranks[r] = (dev + r) % n
+						specs = append(specs, spec{"fan", sim.KindCompute, kernels.Work(d), d, ranks[r]})
+					}
+					coll(dev, ranks)
+				})
+			case 5: // burst: more kernels or collectives on dev than the memo key holds
+				group(func() {
+					if in.pick(2) == 0 {
+						for k := 0; k < 2; k++ {
+							kernel(dev)
+						}
+						return
+					}
+					for k := 0; k <= keyComms; k++ {
+						ranks := []int{dev, (dev + 1 + in.pick(n-1)) % n}
+						coll(dev, ranks)
+					}
+				})
 			default:
 				specs = append(specs, spec{"h", sim.KindHost, 1, nil, dev})
 			}
@@ -484,10 +543,18 @@ func FuzzClusterRates(f *testing.F) {
 		in2 := make([]bool, len(specs))
 		now := 0.0
 		for epoch := 0; epoch < 48; epoch++ {
-			switch in.pick(4) {
+			switch in.pick(5) {
 			case 0: // toggle one task: typically one device's set changes
 				i := in.pick(len(specs))
 				in2[i] = !in2[i]
+			case 3: // start or stop a fan-out or burst
+				if len(groups) > 0 {
+					members := groups[in.pick(len(groups))]
+					on := !in2[members[0]]
+					for _, i := range members {
+						in2[i] = on
+					}
+				}
 			case 1: // reshuffle many devices at once
 				for i := range in2 {
 					if in.pick(3) == 0 {

@@ -5,24 +5,39 @@
 // kernels, HBM bandwidth sharing, and power-cap-induced DVFS throttling —
 // and observes every simulated segment to drive the power telemetry.
 //
-// The model is incremental. A device's solve — contention pressure, the
+// The model is memoized. A device's solve — contention pressure, the
 // rate/DVFS fixed point, its compute tasks' rates — is a pure function
-// of its running compute and communication tasks, the gate bit of each
-// communication, and the frequency the solve starts from. A device is
-// re-solved only when one of those changed: its task sets differ from
-// its last solve's, a gate flipped, or the last solve did not end at a
-// bitwise fixed point (output frequency == input frequency). Otherwise
-// its frequency and its tasks' rates are already exactly what a re-solve
-// would write, and its segment power is the value priced right after
-// that solve. Jittered runs, whose ranks de-synchronize so that a typical
-// epoch changes one device, pay for one device instead of all of them.
+// of the costs of its running compute kernels, its running communication
+// tasks with the gate bit of each, and the frequency the solve starts
+// from. Its key (solveKey) holds exactly those: the prepared
+// kernels.Cost pointer of its compute kernel, the ordered comm tasks and
+// their gate bits, and the starting frequency's bits. The cluster keeps
+// one memo from key to the solved frequency and the compute task's rate
+// before jitter, shared by every device and epoch: a strategy fans one
+// prepared kernel out to every rank and runs one collective task across
+// them, so de-synchronized ranks of a jittered run pass through the same
+// few states at different times. A hit is bit-identical to a solve
+// because it replays the values that solve computed from the same
+// inputs. It then multiplies in the task's jitter exactly as a solve
+// does, calling jitterFor for the same task at the same point, so the
+// generator's draw order is unchanged.
+//
+// A device whose key equals its last solve's key, with the same compute
+// task, is skipped outright: equal keys mean its frequency did not move
+// (the last solve ended at a bitwise fixed point), so its frequency and
+// its task's rate are already what a solve would write, and Segment
+// reuses the watts it priced after that solve. Partitions the key cannot
+// hold — a kernel that was never prepared (kernels.Desc.CostOn returns a
+// fresh Cost), or more tasks than its fixed width — are solved afresh
+// every epoch. Devices without compute are keyed for the skip but never
+// memoized: their solve is a few multiplications, and they made more
+// than half of a paper-grid sweep's memo entries.
 package gpu
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"overlapsim/internal/collective"
 	"overlapsim/internal/hw"
@@ -58,15 +73,12 @@ type Config struct {
 // hierarchical fabric. It implements sim.Platform (rate assignment) and
 // sim.Observer (power integration).
 //
-// Every epoch Rates partitions the running set by device and re-solves
-// only the devices whose solve inputs changed (see the package comment):
-// a device is skipped when its compute and communication task lists are
-// the same pointers in the same order as at its last solve, every
-// communication's gate bit is unchanged, and that solve ended at a
-// bitwise fixed point. Segment reuses a skipped device's watts once they
-// have been priced for the solved state. Both shortcuts reproduce the
-// full recompute bit for bit; FuzzClusterRates checks them against a
-// reference copy of it.
+// Every epoch Rates partitions the running set by device and solves each
+// device through the memo (see the package comment), skipping a device
+// whose key and compute tasks are those of its last solve. Segment
+// reuses a skipped device's watts once they have been priced for the
+// solved state. Both shortcuts reproduce the full recompute bit for bit;
+// FuzzClusterRates checks them against a reference copy of it.
 type Cluster struct {
 	cfg      Config
 	n        int
@@ -78,8 +90,15 @@ type Cluster struct {
 	rng      *rand.Rand
 	jitter   map[*sim.Task]float64
 
-	// dev holds each device's per-epoch partition and solve cache.
+	// dev holds each device's per-epoch partition and last solve.
 	dev []device
+
+	// memo maps solve inputs to outputs (see solveKey); it is cleared
+	// whenever it reaches memoCap entries. solves counts the solves that
+	// consulted it and inserts its insertions, for tests.
+	memo    map[solveKey]solution
+	solves  int
+	inserts int
 
 	// partFresh marks the partition as computed by Rates for the
 	// current epoch; Segment observes the identical running set
@@ -113,21 +132,52 @@ type repStat struct {
 	ok    bool
 }
 
+// Key width and memo size. Across the paper's main grid and the golden
+// configs no device runs more than one compute kernel and two
+// collectives at once; wider partitions bypass the memo, and so do
+// devices without compute, whose solve is a few multiplications. A
+// 300 W-capped jittered 4×8 FSDP run, the most varied state space
+// measured, fills about 330 entries (TestMemoCapHoldsCappedJitter). A
+// memo that reaches the cap is cleared, which costs re-solves but never
+// changes a result.
+const (
+	keyComms = 2
+	memoCap  = 1024
+)
+
+// solveKey is the input of one device solve: the cost of its compute
+// kernel, its comm tasks in partition order (nil-padded), the gate bit
+// of each (bit i for comms[i]), and the bits of the frequency the solve
+// starts from. A device without compute keys with a nil cost and zero
+// frequency, which its solve does not read.
+type solveKey struct {
+	cost    *kernels.Cost
+	comms   [keyComms]*sim.Task
+	waiting uint8
+	freq    uint64
+}
+
+// solution is the output of one device solve: the DVFS frequency and the
+// compute task's rate before jitter.
+type solution struct {
+	freq, rate float64
+}
+
 // device is one GPU's running-set partition for the current epoch plus
 // the record of its last solve.
 type device struct {
-	compute []*sim.Task
-	costs   []*kernels.Cost // cost of each compute task on the cluster's GPU
-	comms   []*sim.Task
-	waiting []bool // gate bit of each comm this epoch
+	compute  []*sim.Task
+	costs    []*kernels.Cost // cost of each compute task on the cluster's GPU
+	comms    []*sim.Task
+	waiting  []bool // gate bit of each comm this epoch
+	prepared bool   // every cost is a prepared descriptor's shared Cost
 
-	// solvedCompute, solvedComms and solvedWaiting are the inputs of the
-	// last solve; fixed reports that it ended at a bitwise fixed point,
-	// so re-solving the same inputs would reproduce it exactly.
-	solvedCompute []*sim.Task
-	solvedComms   []*sim.Task
-	solvedWaiting []bool
-	fixed         bool
+	// key and task are the last solve's key and compute task (nil
+	// without compute); keyed marks them valid (the last solve fit the
+	// key).
+	key   solveKey
+	task  *sim.Task
+	keyed bool
 
 	// watts is the segment power priced for the solved state; priced
 	// marks it valid. Every solve clears priced.
@@ -135,28 +185,66 @@ type device struct {
 	priced bool
 }
 
-// unchanged reports whether a re-solve would reproduce the last one.
-func (d *device) unchanged() bool {
-	return d.fixed &&
-		slices.Equal(d.compute, d.solvedCompute) &&
-		slices.Equal(d.comms, d.solvedComms) &&
-		slices.Equal(d.waiting, d.solvedWaiting)
+// unchanged reports whether the device's partition, starting from
+// frequency f, has its last solve's key and compute task. The same task
+// has the same cost, so only the task is compared.
+func (d *device) unchanged(f float64) bool {
+	k := &d.key
+	nm := len(d.comms)
+	if !d.keyed || len(d.compute) > 1 || nm > keyComms || (nm < keyComms && k.comms[nm] != nil) {
+		return false
+	}
+	var task *sim.Task
+	if len(d.compute) == 1 {
+		task = d.compute[0]
+	}
+	if task != d.task {
+		return false
+	}
+	var waiting uint8
+	for i, t := range d.comms {
+		if t != k.comms[i] {
+			return false
+		}
+		if d.waiting[i] {
+			waiting |= 1 << i
+		}
+	}
+	return waiting == k.waiting && (task == nil || k.freq == math.Float64bits(f))
 }
 
-// solved records the current partition as the last solve's inputs.
-func (d *device) solved(fixed bool) {
-	d.solvedCompute = append(d.solvedCompute[:0], d.compute...)
-	d.solvedComms = append(d.solvedComms[:0], d.comms...)
-	d.solvedWaiting = append(d.solvedWaiting[:0], d.waiting...)
-	d.fixed = fixed
-	d.priced = false
+// rekey records the key and compute task of the device's current
+// partition, starting from frequency f, and reports whether the
+// partition fits the key.
+func (d *device) rekey(f float64) bool {
+	d.keyed = d.prepared && len(d.compute) <= 1 && len(d.comms) <= keyComms
+	if !d.keyed {
+		return false
+	}
+	d.key, d.task = solveKey{}, nil
+	if len(d.compute) == 1 {
+		d.task, d.key.cost, d.key.freq = d.compute[0], d.costs[0], math.Float64bits(f)
+	}
+	for i, t := range d.comms {
+		d.key.comms[i] = t
+		if d.waiting[i] {
+			d.key.waiting |= 1 << i
+		}
+	}
+	return true
+}
+
+// clear empties the partition.
+func (d *device) clear() {
+	d.compute, d.costs = d.compute[:0], d.costs[:0]
+	d.comms, d.waiting = d.comms[:0], d.waiting[:0]
+	d.prepared = true
 }
 
 // reset clears the partition and forgets the last solve.
 func (d *device) reset() {
-	d.compute, d.costs = d.compute[:0], d.costs[:0]
-	d.comms, d.waiting = d.comms[:0], d.waiting[:0]
-	d.fixed, d.priced = false, false
+	d.clear()
+	d.keyed, d.priced = false, false
 }
 
 var (
@@ -183,6 +271,7 @@ func New(cfg Config) (*Cluster, error) {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		jitter: make(map[*sim.Task]float64),
 		dev:    make([]device, n),
+		memo:   make(map[solveKey]solution),
 		active: make([]int, n),
 	}
 	for i := range c.freq {
@@ -269,9 +358,7 @@ func (c *Cluster) jitterFor(t *sim.Task) float64 {
 func (c *Cluster) partition(running []*sim.Task) {
 	alias := c.alias
 	for _, i := range c.active {
-		d := &c.dev[i]
-		d.compute, d.costs = d.compute[:0], d.costs[:0]
-		d.comms, d.waiting = d.comms[:0], d.waiting[:0]
+		c.dev[i].clear()
 	}
 	for _, t := range running {
 		switch p := t.Payload().(type) {
@@ -279,6 +366,7 @@ func (c *Cluster) partition(running []*sim.Task) {
 			d := &c.dev[t.Streams()[0].Device()]
 			d.compute = append(d.compute, t)
 			d.costs = append(d.costs, p.CostOn(c.g))
+			d.prepared = d.prepared && p.PreparedOn(c.g)
 		case collective.Desc:
 			waiting := p.Waiting()
 			if p.Op == collective.SendRecv && waiting {
@@ -338,28 +426,57 @@ func (c *Cluster) Rates(now float64, running []*sim.Task) {
 }
 
 // solve resolves device dev's DVFS frequency and its compute tasks'
-// rates, unless its inputs are those of its last solve and that solve
-// was a fixed point — then both are already what this solve would write.
-// Skipping draws no jitter: every task of a solved device drew its
-// multiplier when that solve ran, so the generator's draw order is the
-// full recompute's.
+// rates. A device whose key and compute task are its last solve's is
+// skipped: its frequency and rates are already what this solve would
+// write. A keyed device with compute takes its frequency and base rate
+// from the memo when it holds the key, and from a fresh solve, which it
+// records, when it does not; every other device is solved afresh.
+// Either way each rate is multiplied by its task's jitter in partition
+// order; skipping draws no jitter, because every task of a solved device
+// drew its multiplier when that solve ran. So the generator's draw order
+// is the full recompute's.
 func (c *Cluster) solve(dev int) {
 	d := &c.dev[dev]
-	if d.unchanged() {
+	f := c.freq[dev]
+	if d.unchanged(f) {
 		return
 	}
+	d.priced = false
+	if !d.rekey(f) || d.task == nil {
+		c.solveFresh(dev)
+		return
+	}
+	c.solves++
+	if s, ok := c.memo[d.key]; ok {
+		c.freq[dev] = s.freq
+		d.task.SetRate(s.rate * c.jitterFor(d.task))
+		return
+	}
+	if len(c.memo) >= memoCap {
+		clear(c.memo)
+	}
+	c.memo[d.key] = c.solveFresh(dev)
+	c.inserts++
+}
+
+// solveFresh solves device dev from its partition, writes its frequency
+// and its compute tasks' rates, and returns the solution (the rate is
+// the first compute task's).
+func (c *Cluster) solveFresh(dev int) solution {
+	d := &c.dev[dev]
+	var s solution
 	nCompute := len(d.compute)
 	if nCompute == 0 {
 		// The idle and comm-only solutions do not depend on the starting
-		// frequency, so they are fixed points by construction. A fully
-		// idle device's is a constant, precomputed in New.
+		// frequency. A fully idle device's is a constant, precomputed in
+		// New.
 		if len(d.comms) == 0 {
-			c.freq[dev] = c.idleFreq
+			s.freq = c.idleFreq
 		} else {
-			c.freq[dev] = c.solveFreqIdleComm(dev)
+			s.freq = c.solveFreqIdleComm(dev)
 		}
-		d.solved(true)
-		return
+		c.freq[dev] = s.freq
+		return s
 	}
 	smStolen, hbmStolen, serialize := c.pressure(dev)
 
@@ -367,8 +484,7 @@ func (c *Cluster) solve(dev int) {
 	// depend on f, the cap-solved f depends on the activity the rates
 	// imply. Compute-bound kernels converge immediately; memory-bound
 	// ones within a few iterations.
-	f0 := c.freq[dev]
-	f := f0
+	f := c.freq[dev]
 	if f <= 0 {
 		f = 1
 	}
@@ -382,15 +498,19 @@ func (c *Cluster) solve(dev int) {
 		f = nf
 	}
 	c.freq[dev] = f
+	s.freq = f
 
 	for i, t := range d.compute {
 		r := d.costs[i].Rate(f, smStolen, hbmStolen, serialize)
 		if nCompute > 1 {
 			r /= float64(nCompute)
 		}
+		if i == 0 {
+			s.rate = r
+		}
 		t.SetRate(r * c.jitterFor(t))
 	}
-	d.solved(f == f0)
+	return s
 }
 
 // SetAliases installs the device→representative map of a collapsed plan
@@ -528,9 +648,12 @@ func (c *Cluster) deviceActivity(dev int, f, smStolen, hbmStolen, serialize floa
 }
 
 // surgeMatWeight makes matrix-unit activity contribute disproportionately
-// to the overlap power surge: tensor-core current transients are the worst
-// case for the voltage regulators, which is how the paper's Fig. 11 sees
-// TF32 peak power exceed the FP32 baseline on large models.
+// to the overlap surge in the activity the DVFS solve reads
+// (deviceActivity): tensor-core current transients are the worst case
+// for the voltage regulators, so matrix-heavy overlap throttles the
+// frequency harder. The recorded watts do not see it: segmentActivity
+// prices each segment with an unweighted Vec+Mat surge, so the weight
+// moves power only through the frequency the solve picks.
 const surgeMatWeight = 2.5
 
 // surgeActivity derives the compute∧communication co-activity that drives

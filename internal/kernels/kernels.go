@@ -320,10 +320,16 @@ func Prepare(d Desc, g *hw.GPUSpec) Desc {
 // d was prepared for g, otherwise freshly resolved ones (hand-built
 // descriptors, such as microbenchmark kernels, take this path).
 func (d *Desc) CostOn(g *hw.GPUSpec) *Cost {
-	if d.cost != nil && d.cost.g == g {
+	if d.PreparedOn(g) {
 		return d.cost
 	}
 	return newCost(d, g)
+}
+
+// PreparedOn reports whether d was prepared for g, so that CostOn returns
+// the one shared Cost every call instead of a fresh one.
+func (d *Desc) PreparedOn(g *hw.GPUSpec) bool {
+	return d.cost != nil && d.cost.g == g
 }
 
 func newCost(d *Desc, g *hw.GPUSpec) *Cost {
