@@ -344,6 +344,36 @@ func BenchmarkEngineScale(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineScaleSequential is BenchmarkEngineScale's sequential
+// mode at the shapes where the collapse dominates: the core-scale 512
+// ranks and 4096. Sequential mode chains every collective into every
+// rank's compute, so its plan holds more edges, and in core.Run it is
+// the slower of the two modes, which run side by side.
+func BenchmarkEngineScaleSequential(b *testing.B) {
+	for _, ranks := range []int{512, 4096} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			cfg := core.Config{
+				System:      hw.NewMultiNode(hw.H100(), 8, ranks/8),
+				Model:       model.GPT3XL(),
+				Parallelism: "fsdp",
+				Batch:       ranks,
+				Format:      precision.FP16,
+				MatrixUnits: true,
+				Iterations:  1,
+				Warmup:      0,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.RunMode(context.Background(), cfg, exec.Sequential); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(cfg.System.TotalGPUs()), "gpus")
+		})
+	}
+}
+
 // BenchmarkEngineScaleJitter is the jittered counterpart of
 // BenchmarkEngineScale: the same FSDP shape with σ=0.02 kernel jitter,
 // which vetoes the symmetry collapse, so every rank is simulated and

@@ -526,6 +526,21 @@ func HBMDraw(d Desc, g *hw.GPUSpec, wireRate float64) float64 {
 	return k * wireRate
 }
 
+// ParticipantsIn counts the participants in [lo, hi), a rank listed
+// twice twice. The default set 0..N-1 is counted without being listed.
+func (d Desc) ParticipantsIn(lo, hi int) int {
+	if d.Op != SendRecv && d.Ranks == nil {
+		return max(0, min(d.N, hi)-max(lo, 0))
+	}
+	n := 0
+	for _, r := range d.Participants() {
+		if r >= lo && r < hi {
+			n++
+		}
+	}
+	return n
+}
+
 // Participants returns the rank indices the collective occupies. For
 // SendRecv these are the two endpoints; with an explicit Ranks set those
 // ranks; otherwise ranks 0..N-1. Prepared descriptors return the

@@ -42,7 +42,13 @@ type Op struct {
 // device, the sequential-mode Chain, and the Pairwise and After edge
 // helpers. Each such call tallies what it made; Plan hands the tally to
 // the plan, whose RunContext collapses the declared classes only while
-// the engine's Census still equals it (see Plan.DeclaredClasses).
+// the engine's Census still equals it (see Plan.DeclaredClasses). The
+// same calls keep the engine's ghost ledger: each full fan-out records
+// its replicas' range (sim.Engine.Replicate), and each edge into a task
+// off the replicas is noted (sim.Engine.NoteEdges), so the collapse
+// needs no pass over the tasks. Collective checks each collective
+// against the declared class as it is made, as the detector's classes
+// are checked after detection.
 type Builder struct {
 	// Eng is the plan's engine.
 	Eng *sim.Engine
@@ -71,9 +77,12 @@ type Builder struct {
 	colls   []*sim.Task // every Collective task, in creation order
 
 	// lo and hi bound the declared replica devices (none while lo ==
-	// hi); made tallies what the builder's symmetric calls made.
+	// hi); made tallies what the builder's symmetric calls made; vetoed
+	// is set by a collective that would give the representative
+	// contention its replicas never had.
 	lo, hi int
 	made   sim.Census
+	vetoed bool
 }
 
 // NewBuilder starts a plan on a fresh engine bound to the cluster,
@@ -156,7 +165,7 @@ func (b *Builder) Plan(warmup, iters int, build func(it int)) *Plan {
 		p.Iterations = append(p.Iterations, b.Eng.Tasks()[start:])
 	}
 	p.built, p.collectives = true, b.colls
-	if b.hi > b.lo {
+	if b.declared() && !b.vetoed {
 		p.replicas, p.census = b.devices[b.lo:b.hi], b.made
 	}
 	return p
@@ -185,6 +194,12 @@ func (b *Builder) computeOn(name string, op Op, dev int) (*sim.Task, int) {
 	if b.chain == nil {
 		return t, 0
 	}
+	if b.declared() && !b.isGhost(dev) {
+		// The chain edge's source is the device's last operation; were
+		// it a replica, the mirror would not duplicate the edge, and
+		// noting it voids the ledger.
+		b.Eng.NoteEdges(t, b.chain.Last(dev))
+	}
 	return t, b.chain.Order(t, dev)
 }
 
@@ -194,8 +209,8 @@ func (b *Builder) computeOn(name string, op Op, dev int) (*sim.Task, int) {
 // so a fan-out allocates one name string instead of one per device.
 //
 // A fan-out over every device is a symmetric call: it tallies its tasks
-// and chain edges and records the first replica's task as every other
-// replica task's mirror.
+// and chain edges and makes the first replica's task every other replica
+// task's mirror (sim.Engine.Replicate).
 func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
 	b.buf, b.ends = b.buf[:0], b.ends[:0]
 	for d := lo; d < hi; d++ {
@@ -214,8 +229,8 @@ func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
 		start = end
 	}
 	if lo == 0 && hi == len(b.streams) {
-		for d := b.lo + 1; d < b.hi; d++ {
-			out[d].SetMirror(out[b.lo])
+		if b.declared() {
+			b.Eng.Replicate(out[b.lo], out[b.lo+1:b.hi])
 		}
 		b.made.Tasks += len(out)
 		b.made.Edges += edges
@@ -232,7 +247,11 @@ func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
 // records the task for the plan's collapse veto.
 //
 // A collective off the declared replicas is a symmetric call, in
-// sequential mode only when it is ordered over every device.
+// sequential mode only when it is ordered over every device. A
+// collective that occupies part of the replicas, or sits on one, drops
+// the declaration: its contention would fall on the representative and
+// not on every replica, so the plan goes to DetectClasses, whose classes
+// face the same check.
 func (b *Builder) Collective(name string, d collective.Desc, overlapped *sim.Stream, home int, orderDevices ...int) *sim.Task {
 	d.Name = name
 	d, work := b.prep.Prepare(d)
@@ -244,11 +263,22 @@ func (b *Builder) Collective(name string, d collective.Desc, overlapped *sim.Str
 		}
 	} else {
 		t = b.Eng.NewTask(name, sim.KindComm, work, d, b.Eng.NewStream("seqcomm."+name, home))
+		symmetric := b.offReplicas(t) && slices.Equal(orderDevices, b.devices)
+		if symmetric && b.declared() {
+			// Order gates t on each device's latest operation: the chain's
+			// record, one task per device.
+			b.Eng.NoteEdges(t, b.chain.last...)
+		}
 		edges := b.chain.Order(t, orderDevices...)
-		if b.offReplicas(t) && slices.Equal(orderDevices, b.devices) {
+		if symmetric {
 			b.made.Tasks++
 			b.made.Streams++
 			b.made.Edges += edges
+		}
+	}
+	if b.declared() {
+		if n := d.ParticipantsIn(b.lo, b.hi); !b.offReplicas(t) || n != 0 && n != b.hi-b.lo {
+			b.vetoed = true
 		}
 	}
 	b.colls = append(b.colls, t)
@@ -293,13 +323,27 @@ func (b *Builder) After(ts []*sim.Task, deps ...*sim.Task) {
 			edges += d.Gates(ts)
 		}
 	}
-	if b.offReplicas(ts...) || b.fanout(ts) && b.offReplicas(deps...) {
+	if b.offReplicas(ts...) {
+		for _, t := range ts {
+			if t != nil && b.declared() {
+				b.Eng.NoteEdges(t, deps...)
+			}
+		}
+		b.made.Edges += edges
+	} else if b.fanout(ts) && b.offReplicas(deps...) {
 		b.made.Edges += edges
 	}
 }
 
+// declared reports whether the builder declared replicas.
+func (b *Builder) declared() bool { return b.hi > b.lo }
+
 // isReplica reports whether the device is a declared replica.
 func (b *Builder) isReplica(device int) bool { return device >= b.lo && device < b.hi }
+
+// isGhost reports whether the device is a declared replica other than
+// the representative: one a collapse ghosts.
+func (b *Builder) isGhost(device int) bool { return device > b.lo && device < b.hi }
 
 // offReplicas reports whether no stream of any of the (non-nil) tasks is
 // on a declared replica.

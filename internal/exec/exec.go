@@ -62,14 +62,15 @@ type Plan struct {
 	ran bool
 	// built is set by Builder.Plan, which also records collectives:
 	// every collective task of the plan, in creation order. Only a built
-	// plan collapses — the collapse veto reads the recorded collectives
-	// instead of inspecting every task's payload, and a hand-assembled
-	// plan has no record to read.
+	// plan collapses — the collapse veto of detected classes reads the
+	// recorded collectives instead of inspecting every task's payload,
+	// and a hand-assembled plan has no record to read.
 	built       bool
 	collectives []*sim.Task
 	// replicas are the devices the builder declared rank-symmetric, and
 	// census its tally of what it made through symmetric calls; nil
-	// replicas when it declared none (see DeclaredClasses).
+	// replicas when it declared none or a collective vetoed the
+	// declaration (see DeclaredClasses).
 	replicas []int
 	census   sim.Census
 	// alias maps every device to its class representative after a
@@ -89,15 +90,18 @@ func (p *Plan) Run() error {
 //
 // Before running, the plan applies the rank-symmetry fast path: it
 // takes the symmetry classes of its devices, simulates one
-// representative per class, and reconstructs the ghost ranks' timelines
-// and telemetry afterwards — bit-identical to the full simulation,
-// O(classes) instead of O(ranks). The classes are the builder's
-// declaration when DeclaredClasses returns one (FSDP), with no detection
-// pass; otherwise DetectClasses proves them (DDP, TP, pipeline, and a
-// declared plan whose engine holds something its builder's symmetric
-// calls did not make). Collapse requires a deterministic rate model;
-// jittered clusters always run in full, and so does a plan not made by
-// Builder.
+// representative per class, and lets the ghost ranks report their
+// mirrors' timelines and, afterwards, telemetry — bit-identical to the
+// full simulation, O(classes) instead of O(ranks). The classes are the
+// builder's declaration when DeclaredClasses returns one (FSDP): no
+// detection pass, and the engine's ghost ledger collapses them without
+// a pass over the tasks (sim.Engine.CollapseDeclared), or Collapse's
+// passes when something voided the ledger. Otherwise DetectClasses
+// proves them (DDP, TP, pipeline, and a declared plan whose engine holds
+// something its builder's symmetric calls did not make), and the
+// collectives veto unsafe classes (mergeableClasses) before Collapse.
+// Collapse requires a deterministic rate model; jittered clusters always
+// run in full, and so does a plan not made by Builder.
 func (p *Plan) RunContext(ctx context.Context) error {
 	if p.ran {
 		return fmt.Errorf("exec: plan already ran")
@@ -105,11 +109,16 @@ func (p *Plan) RunContext(ctx context.Context) error {
 	p.ran = true
 	if p.built && !p.NoCollapse && (p.Cluster == nil || p.Cluster.Deterministic()) {
 		classes := p.DeclaredClasses()
-		if classes == nil {
-			classes = p.Engine.DetectClasses(PayloadEq)
+		ghosts, ok := 0, false
+		if classes != nil {
+			ghosts, ok = p.Engine.CollapseDeclared(sim.Class{Members: p.replicas})
+		} else {
+			classes = p.mergeableClasses(p.Engine.DetectClasses(PayloadEq))
 		}
-		classes = p.mergeableClasses(classes)
-		if p.Engine.Collapse(classes) > 0 {
+		if !ok {
+			ghosts = p.Engine.Collapse(classes)
+		}
+		if ghosts > 0 {
 			p.alias = p.aliasVector(classes)
 			if p.Cluster != nil {
 				p.Cluster.SetAliases(p.alias)

@@ -94,7 +94,8 @@ func (p *Plan) SymmetryClasses() []sim.Class {
 // DeclaredClasses returns the device partition the plan's builder
 // declared — every declared replica in one class, every other device
 // alone, in the order DetectClasses lists them — or nil when the builder
-// declared none or the guard fails. The guard is made only of counts:
+// declared none, a collective vetoed the declaration (Builder.Collective)
+// or the guard fails. The guard is made only of counts:
 // the engine's Census (tasks, dependency edges, completion callbacks and
 // streams) must equal the builder's tally of what its symmetric calls
 // made. Everything tallied is on the engine, so any other task, edge,
@@ -128,7 +129,9 @@ func (p *Plan) DeclaredClasses() []sim.Class {
 // (partial overlap would leave the representative with contention its
 // ghost members never had), and no collective task is enqueued on a
 // class member's stream (its pressure on the other devices would vanish
-// with the ghost). The collectives are the ones Builder recorded.
+// with the ghost). The collectives are the ones Builder recorded. A
+// declared partition needs no filter: Builder.Collective applies the
+// same test to each collective as it is made.
 func (p *Plan) mergeableClasses(classes []sim.Class) []sim.Class {
 	multi := 0
 	maxDev := -1

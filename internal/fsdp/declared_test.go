@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"overlapsim/internal/collective"
 	"overlapsim/internal/exec"
 	"overlapsim/internal/hw"
 	"overlapsim/internal/kernels"
@@ -17,6 +18,13 @@ import (
 // measured iteration, then hands its builder and plan to mutate.
 func declaredPlan(t *testing.T, mode exec.Mode, mutate func(b *builder, plan *exec.Plan)) *exec.Plan {
 	t.Helper()
+	return declaredPlanWith(t, mode, nil, mutate)
+}
+
+// declaredPlanWith is declaredPlan that also calls during at the end of
+// each iteration's build, before the plan is made.
+func declaredPlanWith(t *testing.T, mode exec.Mode, during func(b *builder), mutate func(b *builder, plan *exec.Plan)) *exec.Plan {
+	t.Helper()
 	b, err := newBuilder(cluster(t, hw.H100(), 8), strategy.Params{
 		Model: tinyModel(), Batch: 8, Format: precision.FP16, MatrixUnits: true,
 		Checkpoint: true, Iterations: 1, Warmup: 1, Mode: mode,
@@ -24,7 +32,12 @@ func declaredPlan(t *testing.T, mode exec.Mode, mutate func(b *builder, plan *ex
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := b.Plan(b.cfg.Warmup, b.cfg.Iterations, b.buildIteration)
+	plan := b.Plan(b.cfg.Warmup, b.cfg.Iterations, func(it int) {
+		b.buildIteration(it)
+		if during != nil {
+			during(b)
+		}
+	})
 	if mutate != nil {
 		mutate(b, plan)
 	}
@@ -74,24 +87,30 @@ func requireSameRun(t *testing.T, a, b *exec.Plan) {
 // outside the builder's symmetric calls must fail the census check, so
 // the plan falls back to DetectClasses — which still collapses the
 // untouched replicas — and reproduces the full run bit for bit. Each
-// case trips one count only: edges, tasks, streams or callbacks.
+// census case trips one count only: edges, tasks, streams or callbacks.
+// The veto case passes the census through symmetric calls only, but a
+// collective occupies part of the replicas: Collective drops the
+// declaration, and the detector's class meets the same veto, so the
+// plan runs in full.
 func TestDeclarationGuard(t *testing.T) {
 	cases := []struct {
 		name   string
+		during func(b *builder)
 		mutate func(b *builder, plan *exec.Plan)
+		vetoed bool
 	}{
-		{"raw After between replicas", func(b *builder, plan *exec.Plan) {
+		{"raw After between replicas", nil, func(b *builder, plan *exec.Plan) {
 			// Layer 1 of rank 2 waits for layer 2 of rank 3: rank 2 runs
 			// a layer late.
 			taskNamed(t, plan, "it1.s0.fwd.l1@2").After(taskNamed(t, plan, "it1.s0.fwd.l2@3"))
-		}},
-		{"stray ComputeOn on replica 2", func(b *builder, plan *exec.Plan) {
+		}, false},
+		{"stray ComputeOn on replica 2", nil, func(b *builder, plan *exec.Plan) {
 			b.ComputeOn("stray", b.KernelOp(kernels.Elementwise("stray", 1e6, 1, 0, precision.FP16)), 2)
-		}},
-		{"extra stream on a replica", func(b *builder, plan *exec.Plan) {
+		}, false},
+		{"extra stream on a replica", nil, func(b *builder, plan *exec.Plan) {
 			b.Eng.NewStream("extra", 2)
-		}},
-		{"OnDone callback", func(b *builder, plan *exec.Plan) {
+		}, false},
+		{"OnDone callback", nil, func(b *builder, plan *exec.Plan) {
 			// The callback enqueues a late kernel on rank 2, which a
 			// ghost rank would never run.
 			op := b.KernelOp(kernels.Elementwise("late", 1e6, 1, 0, precision.FP16))
@@ -99,24 +118,29 @@ func TestDeclarationGuard(t *testing.T) {
 			first.OnDone(func(float64) {
 				b.Eng.NewTask("late", sim.KindCompute, op.Work, op.Payload, first.Streams()[0])
 			})
-		}},
+		}, false},
+		{"collective over part of the replicas", func(b *builder) {
+			// Ranks 0..3 of 8: the representative and two replicas would
+			// feel its contention, the other replicas not.
+			b.Collective("partial", collective.Desc{Op: collective.AllReduce, Bytes: 1 << 20, N: 4}, b.agS, 0, b.Devices()...)
+		}, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			full := declaredPlan(t, exec.Overlapped, tc.mutate)
+			full := declaredPlanWith(t, exec.Overlapped, tc.during, tc.mutate)
 			full.NoCollapse = true
 			if err := full.Run(); err != nil {
 				t.Fatal(err)
 			}
-			fast := declaredPlan(t, exec.Overlapped, tc.mutate)
+			fast := declaredPlanWith(t, exec.Overlapped, tc.during, tc.mutate)
 			if c := fast.DeclaredClasses(); c != nil {
 				t.Fatalf("guard missed the mutation: declared %v", c)
 			}
 			if err := fast.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if fast.EngineStats().GhostTasks == 0 {
-				t.Fatal("no collapse: DetectClasses did not serve the plan")
+			if ghosts := fast.EngineStats().GhostTasks; tc.vetoed != (ghosts == 0) {
+				t.Fatalf("%d ghost tasks: DetectClasses did not serve the plan as expected", ghosts)
 			}
 			requireSameRun(t, full, fast)
 		})

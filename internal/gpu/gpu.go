@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"overlapsim/internal/collective"
 	"overlapsim/internal/hw"
@@ -88,7 +89,7 @@ type Cluster struct {
 	samplers []*power.Sampler
 	traces   []*power.Sampler
 	rng      *rand.Rand
-	jitter   map[*sim.Task]float64
+	jitter   []float64 // each task's multiplier by creation index (Task.Seq), 0 until drawn
 
 	// dev holds each device's per-epoch partition and last solve.
 	dev []device
@@ -269,7 +270,6 @@ func New(cfg Config) (*Cluster, error) {
 		fabric: topo.ForSystem(cfg.System),
 		freq:   make([]float64, n),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		jitter: make(map[*sim.Task]float64),
 		dev:    make([]device, n),
 		memo:   make(map[solveKey]solution),
 		active: make([]int, n),
@@ -337,16 +337,26 @@ func (c *Cluster) PowerStats(i int) power.Stats {
 	return r.stats
 }
 
-// jitterFor returns the stable rate multiplier of a task.
+// jitterFor returns the stable rate multiplier of a task, drawn the
+// first time the task is rated. Multipliers are kept by the task's
+// creation index, so a cluster rates the tasks of one engine; 0 marks
+// one not drawn yet (a drawn multiplier, the exp of a normal draw, is
+// positive). The table grows on demand: completion callbacks create
+// tasks mid-run.
 func (c *Cluster) jitterFor(t *sim.Task) float64 {
 	if c.cfg.JitterSigma <= 0 {
 		return 1
 	}
-	if j, ok := c.jitter[t]; ok {
+	i := t.Seq()
+	if i >= len(c.jitter) {
+		c.jitter = slices.Grow(c.jitter, i+1-len(c.jitter))
+		c.jitter = c.jitter[:cap(c.jitter)]
+	}
+	if j := c.jitter[i]; j != 0 {
 		return j
 	}
 	j := math.Exp(c.rng.NormFloat64() * c.cfg.JitterSigma)
-	c.jitter[t] = j
+	c.jitter[i] = j
 	return j
 }
 

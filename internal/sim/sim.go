@@ -55,7 +55,7 @@ func (k Kind) String() string {
 }
 
 // state is the lifecycle of a task.
-type state int
+type state uint8
 
 const (
 	statePending state = iota
@@ -69,14 +69,16 @@ type Task struct {
 	// The first 64 bytes hold the fields the symmetry proof compares for
 	// every task pair and the collapse checks on every edge, so those
 	// passes over tens of thousands of tasks touch one or two cache
-	// lines of each.
+	// lines of each. A collapse marks a ghost, and Done, Start and End
+	// tell one apart, within the same line.
 	kind    Kind
 	work    float64
 	payload any
 	deps    int
 	seq     int // creation order, for deterministic iteration
 	st      state
-	mirror  *Task // class-representative counterpart when collapsed (see symmetry.go)
+	ghost   bool  // collapsed: its times and completion are its mirror's (see symmetry.go)
+	mirror  *Task // class-representative counterpart (see symmetry.go)
 
 	streams []*Stream
 	succs   []*Task
@@ -85,6 +87,7 @@ type Task struct {
 	remaining float64
 	rate      float64
 	started   bool
+	dups      int32 // in-edges from replicas their mirrors duplicate (NoteEdges)
 	start     float64
 	end       float64
 
@@ -121,16 +124,30 @@ func (t *Task) SetRate(r float64) {
 // Rate returns the rate most recently assigned by the Platform.
 func (t *Task) Rate() float64 { return t.rate }
 
+// Seq returns the task's creation index: its position in Engine.Tasks.
+func (t *Task) Seq() int { return t.seq }
+
+// timeline returns the task whose run stands for t's: a ghost's mirror
+// (a collapsed task is not simulated; its class representative's
+// counterpart runs for it), t itself otherwise.
+func (t *Task) timeline() *Task {
+	if t.ghost {
+		return t.mirror
+	}
+	return t
+}
+
 // Start returns the simulated time at which the task started running. Valid
 // only after the task has started.
-func (t *Task) Start() float64 { return t.start }
+func (t *Task) Start() float64 { return t.timeline().start }
 
 // End returns the simulated time at which the task finished. Valid only
-// after Engine.Run returns.
-func (t *Task) End() float64 { return t.end }
+// once the task is done.
+func (t *Task) End() float64 { return t.timeline().end }
 
-// Done reports whether the task has finished.
-func (t *Task) Done() bool { return t.st == stateDone }
+// Done reports whether the task has finished. A collapsed task has
+// finished when its mirror has, also after a cancelled run.
+func (t *Task) Done() bool { return t.timeline().st == stateDone }
 
 // After declares that t must not start before each of deps has finished.
 // It must be called before Engine.Run.
@@ -199,11 +216,18 @@ func (t *Task) OnDone(f func(now float64)) *Task {
 func (t *Task) Mirror() *Task { return t.mirror }
 
 // SetMirror records rep as the task's class-representative counterpart:
-// the task on the representative device whose timeline Collapse copies
-// to t when t's device is collapsed into rep's class. A builder that
-// declares its symmetry writes it as it fans a kernel out; DetectClasses
-// writes it as it proves a class. A nil rep clears it.
-func (t *Task) SetMirror(rep *Task) { t.mirror = rep }
+// the task on the representative device whose timeline t reports once
+// Collapse has ghosted t. A nil rep clears it. Mirrors have two other
+// writers: Engine.Replicate, through which a builder that declares its
+// symmetry writes them as it fans a kernel out, and DetectClasses, which
+// writes them as it proves a class. A mirror written here or by
+// DetectClasses voids the engine's ghost ledger (see CollapseDeclared).
+func (t *Task) SetMirror(rep *Task) {
+	t.mirror = rep
+	if t.eng != nil {
+		t.eng.ledger.void = true
+	}
+}
 
 // Stream is a FIFO command queue. Tasks enqueued on a stream execute in
 // order; at most one task per stream runs at a time.
@@ -305,7 +329,10 @@ type Engine struct {
 	strmNext  int
 	doneTmp   []*Task // retirement scratch, reused across epochs
 
-	ghosts []*Task // collapsed tasks awaiting timeline reconstruction (symmetry.go)
+	// retired counts the tasks done, ghosts included; ledger is the
+	// ghost ledger of a declared class (symmetry.go).
+	retired int
+	ledger  ledger
 
 	// What the engine holds, for Census: dependency edges and completion
 	// callbacks. Kept apart from Stats, which describes a run.
@@ -534,8 +561,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 		}
 		e.admit()
 		if len(e.running) == 0 {
-			if e.pendingCount() == 0 {
-				e.finalizeGhosts()
+			if e.retired == len(e.tasks) {
 				return nil
 			}
 			return fmt.Errorf("%w: %s", ErrDeadlock, e.diagnose())
@@ -684,6 +710,7 @@ func (e *Engine) finishCompleted() {
 		}
 	}
 	e.running = keep
+	e.retired += len(done)
 	for _, t := range done {
 		t.st = stateDone
 		t.end = e.now
@@ -709,16 +736,6 @@ func (e *Engine) finishCompleted() {
 		}
 	}
 	e.doneTmp = done[:0]
-}
-
-func (e *Engine) pendingCount() int {
-	n := 0
-	for _, t := range e.tasks {
-		if t.st != stateDone {
-			n++
-		}
-	}
-	return n
 }
 
 // diagnose summarizes stuck state for deadlock errors.

@@ -59,19 +59,13 @@ type Stats struct {
 	SimTime float64 `json:"sim_time_s"`
 }
 
-// Stats reports the engine's scheduling-work counters. It walks the
-// task list once (to count retirements), so call it after a run, not
-// per epoch.
+// Stats reports the engine's scheduling-work counters. It reads
+// counters the engine keeps as it goes, so it costs the same at any
+// point of a run.
 func (e *Engine) Stats() Stats {
-	retired := 0
-	for _, t := range e.tasks {
-		if t.st == stateDone {
-			retired++
-		}
-	}
 	return Stats{
 		Tasks:            len(e.tasks),
-		TasksRetired:     retired,
+		TasksRetired:     e.retired,
 		Streams:          len(e.streams),
 		Epochs:           e.stEpochs,
 		InstantRounds:    e.stInstant,

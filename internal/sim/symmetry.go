@@ -10,23 +10,28 @@ import (
 // DDP/FSDP/TP training iterations are identical across ranks: every
 // device executes the same kernel sequence with the same dependency
 // shape, so the fluid engine computes the exact same start/end times for
-// every rank of a class. Collapse simulates one representative device
-// per class and reconstructs the other members' timelines by copying the
-// representative's task times after the run. The reconstruction is
-// bit-exact, not approximate: class members would have executed the
-// identical float operations in the identical order, so the golden
-// schedule digests are unchanged while the simulated work drops from
-// O(ranks) to O(classes).
+// every rank of a class. A collapse simulates one representative device
+// per class; every task of another member becomes a ghost that reports
+// its mirror's start, end and completion — the representative's
+// counterpart task. The reconstruction is bit-exact, not approximate:
+// class members would have executed the identical float operations in
+// the identical order, so the golden schedule digests are unchanged
+// while the simulated work drops from O(ranks) to O(classes).
 //
 // A class and its mirrors come from one of two producers. A builder
 // whose ranks are symmetric by construction declares them: it writes
-// each replica task's mirror as it fans the task out (SetMirror), and
-// Census lets it check that the engine holds nothing it did not make
-// through its symmetric calls; FSDP plans do this. DetectClasses proves
-// symmetry structurally instead, trusting no builder's word: it serves
-// the plans that declare nothing (DDP, TP, pipeline, hand-assembled
-// plans) and the declared plans whose census check fails, and it is the
-// oracle the tests hold every declaration to.
+// each fan-out's replica mirrors through Replicate, which also records
+// where the replicas sit in creation order, tallies through NoteEdges
+// the in-edges from replicas that their mirrors duplicate, and checks
+// through Census that the engine holds nothing it did not make through
+// its symmetric calls; FSDP plans do this. That ghost ledger lets
+// CollapseDeclared collapse the class in O(fan-outs + collectives)
+// without walking the tasks. DetectClasses proves symmetry structurally
+// instead, trusting no builder's word: it serves the plans that declare
+// nothing (DDP, TP, pipeline, hand-assembled plans) and the declared
+// plans whose census check fails, its classes collapse through
+// Collapse's creation-order passes, and both are the oracle the tests
+// hold every declaration and every ledger collapse to.
 //
 // Detection is conservative by construction. Any device the proof cannot
 // cover — multi-stream (rendezvous) tasks, completion callbacks, a
@@ -69,7 +74,8 @@ type Class struct {
 // on an engine that already did (or with a nil eq) it returns nil. The
 // result also records, on every task of a non-representative member,
 // which representative task mirrors it — Collapse consumes that mapping.
-// It overwrites any mirror a builder declared on those tasks.
+// It overwrites any mirror a builder declared on those tasks, and so
+// voids the ghost ledger.
 //
 // DetectClasses is the path of plans whose builder declares no symmetry
 // (DDP, TP, pipeline and hand-assembled plans) and of declared plans
@@ -88,9 +94,10 @@ type Class struct {
 // the greedy first-match one: each device joins the first class, in
 // order of creation, whose representative it verifies against.
 func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
-	if e.ran || len(e.ghosts) > 0 || eq == nil || len(e.streams) == 0 {
+	if e.ran || e.stGhosts > 0 || eq == nil || len(e.streams) == 0 {
 		return nil
 	}
+	e.ledger.void = true // the proof rewrites mirrors
 	maxDev := -1
 	for _, s := range e.streams {
 		if s.device > maxDev {
@@ -348,27 +355,27 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 // Collapse merges the given multi-member classes (as returned by
 // DetectClasses on this engine, or declared by the builder that wrote
 // the mirrors): every task on a non-representative member becomes a
-// ghost — marked complete up front, excluded from scheduling — and its
-// outgoing dependency edges are transferred to its representative
-// mirror, so successors outside the class see the exact
-// dependency-count decrements at the exact times the full simulation
-// would have produced. After a successful run the ghosts' start/end
-// times are reconstructed from their mirrors.
+// ghost — marked complete up front, excluded from scheduling, reporting
+// its mirror's times — and its outgoing dependency edges are
+// transferred to its mirror, so successors outside the class see the
+// exact dependency-count decrements at the exact times the full
+// simulation would have produced.
 //
-// Collapse walks the tasks in creation order three times: a validity
-// pass (every task of a non-representative member is a pending
-// single-stream task with a pending mirror on its class's
-// representative device, else its class is skipped entirely — mirrors
-// have two producers, a builder's declaration and DetectClasses), a
-// marking pass that ghosts the valid classes' tasks into a list sized
-// by the first pass, and a transfer pass over the ghosts. Every ghost is marked before any
-// edge moves, so edges between ghosts drop out. A transferred edge into
-// a successor the mirror already gates does not add a duplicate entry:
-// the successor's in-degree is decremented at collapse time instead,
-// and the entry the mirror holds keeps it gated until the mirror — and
-// so every member — finishes. Only edges into successors the mirror
-// does not gate yet are appended. With no multi-member class Collapse
-// makes no pass at all.
+// Collapse walks the tasks in creation order twice: a validity pass
+// (every task of a non-representative member is a pending single-stream
+// task with a pending mirror on its class's representative device, else
+// its class is skipped entirely — mirrors have more than one writer),
+// and a marking pass that ghosts the valid classes' tasks into a list
+// sized by the first pass; a transfer pass then walks the ghosts'
+// successor lists. Every ghost is marked before any edge moves, so
+// edges between ghosts drop out. A transferred edge into a successor the
+// mirror already gates does not add a duplicate entry: the successor's
+// in-degree is decremented at collapse time instead, and the entry the
+// mirror holds keeps it gated until the mirror — and so every member —
+// finishes. Only edges into successors the mirror does not gate yet are
+// appended. With no multi-member class Collapse makes no pass at all.
+// CollapseDeclared reaches the same state from a builder's ledger
+// without these passes.
 //
 // Collapse returns the number of ghost tasks created. Classes with
 // fewer than two members are ignored, as is a class listing a device
@@ -453,22 +460,16 @@ func (e *Engine) Collapse(classes []Class) int {
 	// Marking pass. The validity pass admitted only single-stream tasks
 	// on a valid class's members, so a task's first stream is its only
 	// one.
-	first := len(e.ghosts)
-	if cap(e.ghosts)-first < total {
-		grown := make([]*Task, first, first+total)
-		copy(grown, e.ghosts)
-		e.ghosts = grown
-	}
+	ghosts := make([]*Task, 0, total)
 	for _, t := range e.tasks {
 		if d := t.streams[0].device; d <= maxDev && ghostOf[d] >= 0 {
-			t.st = stateDone
-			t.remaining = 0
-			e.ghosts = append(e.ghosts, t)
+			t.ghostify()
+			ghosts = append(ghosts, t)
 		}
 	}
 
 	// Transfer pass.
-	for _, g := range e.ghosts[first:] {
+	for _, g := range ghosts {
 		m := g.mirror
 		for _, succ := range g.succs {
 			if succ.st == stateDone {
@@ -484,18 +485,130 @@ func (e *Engine) Collapse(classes []Class) int {
 			m.succs = append(m.succs, succ)
 		}
 	}
-	ghosts := len(e.ghosts) - first
-	e.stGhosts += ghosts
-	return ghosts
+	e.stGhosts += len(ghosts)
+	e.retired += len(ghosts)
+	return len(ghosts)
 }
 
-// finalizeGhosts reconstructs the collapsed tasks' timelines from their
-// class representatives. Called once, when a collapsed run completes.
-func (e *Engine) finalizeGhosts() {
-	for _, g := range e.ghosts {
-		m := g.mirror
-		g.started = m.started
-		g.start = m.start
-		g.end = m.end
+// ghostify marks t a ghost: complete up front, never scheduled, its
+// times and completion its mirror's. Both fields share the task's first
+// cache line.
+func (t *Task) ghostify() {
+	t.st = stateDone
+	t.ghost = true
+}
+
+// ledger is the ghost ledger of one declared class: where its replica
+// tasks sit in creation order, and which tasks have in-edges from them
+// that their mirrors duplicate (each such task keeps its count in
+// Task.dups). It is what lets CollapseDeclared reach Collapse's state
+// without walking the tasks. It holds one range per fan-out and one
+// entry per tallied successor, never a list of the replicas.
+type ledger struct {
+	spans []span
+	dups  []*Task
+	// void is set once the ledger can no longer stand for the class: a
+	// mirror was written outside Replicate, or NoteEdges met an edge
+	// from a replica whose mirror did not gate the same successor.
+	void bool
+}
+
+// span is a range [from, to) of creation indices.
+type span struct{ from, to int32 }
+
+// Replicate writes rep as the mirror of every task of replicas and
+// records where they sit in creation order in the engine's ghost ledger,
+// one range per run of consecutive tasks. A builder that declares its
+// ranks symmetric calls it once per fan-out with the fan-out's replica
+// tasks; a fan-out made task by task in device order is one range.
+func (e *Engine) Replicate(rep *Task, replicas []*Task) {
+	l := &e.ledger
+	for _, t := range replicas {
+		t.mirror = rep
+		if n := len(l.spans); n > 0 && int(l.spans[n-1].to) == t.seq {
+			l.spans[n-1].to++
+		} else {
+			l.spans = append(l.spans, span{int32(t.seq), int32(t.seq + 1)})
+		}
 	}
+}
+
+// NoteEdges records in the ghost ledger that succ, a task without a
+// mirror, gained an in-edge from each non-nil task of deps, all in one
+// call. An edge from a replica — a task with a mirror — is duplicated by
+// its mirror's edge when the mirror is among deps too: CollapseDeclared
+// takes it off succ's in-degree, as Collapse's transfer pass would. An
+// edge from a replica whose mirror is not among deps would need the
+// transfer to add an entry to the mirror's successors, so it voids the
+// ledger. A builder that declares its symmetry calls NoteEdges for every
+// edge its symmetric calls make into a task no collapse would ghost.
+func (e *Engine) NoteEdges(succ *Task, deps ...*Task) {
+	l := &e.ledger
+	if l.void || succ.mirror != nil {
+		return
+	}
+	n := 0
+	var m *Task // the last mirror found among deps
+	for _, d := range deps {
+		if d == nil || d.mirror == nil {
+			continue
+		}
+		if d.mirror != m {
+			if !slices.Contains(deps, d.mirror) {
+				l.void = true
+				return
+			}
+			m = d.mirror
+		}
+		n++
+	}
+	if n > 0 {
+		if succ.dups == 0 {
+			l.dups = append(l.dups, succ)
+		}
+		succ.dups += int32(n)
+	}
+}
+
+// CollapseDeclared collapses a declared class through the ghost ledger
+// and returns the number of ghost tasks, leaving the engine in the state
+// Collapse would: the ledger's replicas become ghosts and each tallied
+// successor loses the in-edges their mirrors duplicate. It reads
+// neither the tasks outside the ledger nor any successor list, so it
+// costs O(fan-outs + tallied successors) plus a write per ghost.
+//
+// The caller vouches that the ledger's ranges hold every task of the
+// class's members but the first and that NoteEdges saw every edge out
+// of them into a task outside them; exec.Plan holds its builder to that
+// with a census. CollapseDeclared reports false and changes nothing when
+// the ledger cannot stand for the class: it is void, a range's mirror is
+// not on the class representative, or the engine has run or collapsed.
+// The caller then calls Collapse.
+func (e *Engine) CollapseDeclared(c Class) (int, bool) {
+	l := &e.ledger
+	if l.void || e.ran || e.stCollapsed > 0 {
+		return 0, false
+	}
+	if len(c.Members) < 2 {
+		return 0, true
+	}
+	for _, s := range l.spans {
+		if m := e.tasks[s.from].mirror; m == nil || m.streams[0].device != c.Members[0] {
+			return 0, false
+		}
+	}
+	ghosts := 0
+	for _, s := range l.spans {
+		for _, t := range e.tasks[s.from:s.to] {
+			t.ghostify()
+		}
+		ghosts += int(s.to - s.from)
+	}
+	for _, t := range l.dups {
+		t.deps -= int(t.dups)
+	}
+	e.stCollapsed++
+	e.stGhosts += ghosts
+	e.retired += ghosts
+	return ghosts, true
 }

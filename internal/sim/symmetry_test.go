@@ -440,3 +440,145 @@ func TestGatesMatchesAfter(t *testing.T) {
 		}
 	}
 }
+
+// declaredDAG is symDAG's shape built the way a declaring builder builds
+// it: slot by slot, each slot fanned out over the ranks with rank 0's
+// task the mirror of the others' (Replicate), and the sink's in-edges
+// from the last slot noted (NoteEdges). Returns the engine and the
+// fan-outs by [slot][rank].
+func declaredDAG(ranks, slots int) (*Engine, [][]*Task) {
+	e := NewEngine(PlatformFunc(flatRate))
+	shared := e.NewStream("shared", ranks)
+	src := e.NewTask("src", KindCompute, 1, 100, shared)
+	streams := make([]*Stream, ranks)
+	for r := range streams {
+		streams[r] = e.NewStream(name(r), r)
+	}
+	fans := make([][]*Task, slots)
+	for i := range fans {
+		fans[i] = make([]*Task, ranks)
+		for r := range fans[i] {
+			t := e.NewTask(fmt.Sprintf("r%d.%d", r, i), KindCompute, float64(i%5)+0.5, i, streams[r])
+			if i == 0 {
+				t.After(src)
+			} else {
+				t.After(fans[i-1][r])
+			}
+			fans[i][r] = t
+		}
+		e.Replicate(fans[i][0], fans[i][1:])
+	}
+	sink := e.NewTask("sink", KindCompute, 1, 101, shared)
+	last := fans[slots-1]
+	sink.After(last...)
+	e.NoteEdges(sink, last...)
+	return e, fans
+}
+
+// TestCollapseDeclaredMatchesCollapse: the ledger collapse leaves every
+// task's state, in-degree, residual work, ghost flag and successors as
+// Collapse does, records one range per fan-out, and runs the full
+// schedule bit for bit.
+func TestCollapseDeclaredMatchesCollapse(t *testing.T) {
+	const ranks, slots = 5, 4
+	classes := []Class{{Members: []int{0, 1, 2, 3, 4}}, {Members: []int{ranks}}}
+	full, _ := declaredDAG(ranks, slots)
+	if err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := declaredDAG(ranks, slots)
+	if len(e.ledger.spans) != slots || len(e.ledger.dups) != 1 || e.ledger.dups[0].dups != ranks-1 {
+		t.Fatalf("ledger holds %d ranges and %d tallies, want %d and 1", len(e.ledger.spans), len(e.ledger.dups), slots)
+	}
+	g, _ := declaredDAG(ranks, slots)
+	n, ok := e.CollapseDeclared(classes[0])
+	if !ok || n != (ranks-1)*slots {
+		t.Fatalf("CollapseDeclared = %d, %v; want %d, true", n, ok, (ranks-1)*slots)
+	}
+	if m := g.Collapse(classes); m != n {
+		t.Fatalf("Collapse ghosted %d, the ledger %d", m, n)
+	}
+	for i, a := range e.tasks {
+		b := g.tasks[i]
+		if a.st != b.st || a.deps != b.deps || a.ghost != b.ghost ||
+			math.Float64bits(a.remaining) != math.Float64bits(b.remaining) ||
+			len(a.succs) != len(b.succs) {
+			t.Fatalf("task %s: ledger %v/%d/%v/%g/%d, Collapse %v/%d/%v/%g/%d", a.name,
+				a.st, a.deps, a.ghost, a.remaining, len(a.succs), b.st, b.deps, b.ghost, b.remaining, len(b.succs))
+		}
+		for j := range a.succs {
+			if a.succs[j].seq != b.succs[j].seq {
+				t.Fatalf("task %s successor %d: %s vs %s", a.name, j, a.succs[j].name, b.succs[j].name)
+			}
+		}
+	}
+	if e.Stats() != g.Stats() {
+		t.Fatalf("stats diverged:\n%+v\n%+v", e.Stats(), g.Stats())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, full, e)
+}
+
+// TestLedgerVoids: whatever the ledger cannot vouch for makes
+// CollapseDeclared decline without touching the engine, and Collapse,
+// which the caller then calls, still reproduces the full run.
+func TestLedgerVoids(t *testing.T) {
+	const ranks, slots = 4, 3
+	classes := []Class{{Members: []int{0, 1, 2, 3}}, {Members: []int{ranks}}}
+	cases := []struct {
+		name   string
+		mutate func(e *Engine, fans [][]*Task)
+		class  Class
+	}{
+		{"mirror written by SetMirror", func(e *Engine, fans [][]*Task) {
+			fans[1][2].SetMirror(fans[1][0])
+		}, classes[0]},
+		{"mirrors rewritten by DetectClasses", func(e *Engine, fans [][]*Task) {
+			e.DetectClasses(intEq)
+		}, classes[0]},
+		{"edge from a replica its mirror does not duplicate", func(e *Engine, fans [][]*Task) {
+			solo := e.NewTask("solo", KindCompute, 2, 7, e.NewStream("solo", ranks+1))
+			solo.After(fans[1][2])
+			e.NoteEdges(solo, fans[1][2])
+		}, classes[0]},
+		{"mirrors off the representative", nil, Class{Members: []int{1, 0, 2, 3}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			full, fans := declaredDAG(ranks, slots)
+			if tc.mutate != nil {
+				tc.mutate(full, fans)
+			}
+			if err := full.Run(); err != nil {
+				t.Fatal(err)
+			}
+			e, fans := declaredDAG(ranks, slots)
+			if tc.mutate != nil {
+				tc.mutate(e, fans)
+			}
+			before := e.Stats()
+			if n, ok := e.CollapseDeclared(tc.class); ok || n != 0 {
+				t.Fatalf("CollapseDeclared = %d, %v; want 0, false", n, ok)
+			}
+			if e.Stats() != before || fans[1][2].ghost {
+				t.Fatal("a declined CollapseDeclared changed the engine")
+			}
+			e.Collapse([]Class{tc.class})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			requireSameSchedule(t, full, e)
+		})
+	}
+	t.Run("after a run", func(t *testing.T) {
+		e, _ := declaredDAG(ranks, slots)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.CollapseDeclared(classes[0]); ok {
+			t.Fatal("CollapseDeclared collapsed a finished engine")
+		}
+	})
+}
