@@ -35,7 +35,7 @@ func PayloadEq(a, b any) bool {
 // builders box each fused descriptor once and fan it out to every rank,
 // so counterpart payloads nearly always share their Parts backing array
 // — that identity short-circuits the recursion, which matters because
-// detection compares every task of every candidate device.
+// detection compares every task of every device it verifies.
 func kernelDescEq(a, b *kernels.Desc) bool {
 	if a.Name != b.Name || a.Op != b.Op ||
 		math.Float64bits(a.FLOPs) != math.Float64bits(b.FLOPs) ||
@@ -86,7 +86,10 @@ func collectiveDescEq(a, b collective.Desc) bool {
 
 // SymmetryClasses runs the structural symmetry detector on the plan's
 // engine and returns the device partition. Valid only before the plan
-// has run (nil afterwards). Detection does not modify the schedule.
+// has run (nil afterwards). Detection leaves every task's work and
+// dependencies as they are, but it writes the mirrors of the classes it
+// proves and voids the engine's ghost ledger, so a declared plan then
+// collapses through sim.Engine.Collapse instead of CollapseDeclared.
 func (p *Plan) SymmetryClasses() []sim.Class {
 	return p.Engine.DetectClasses(PayloadEq)
 }

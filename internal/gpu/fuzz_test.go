@@ -197,7 +197,7 @@ func (c *refCluster) deviceActivity(dev int, f, smStolen, hbmStolen, serialize f
 		act.Mem += collective.HBMDraw(cd, c.g, wireRate) / c.g.MemBW()
 	}
 	act.Comm = commUtil
-	act.Surge = surgeActivity(act)
+	act.Surge = surgeActivity(act, surgeMatWeight)
 	return act.Clamped()
 }
 

@@ -642,19 +642,22 @@ func (c *Cluster) deviceActivity(dev int, f, smStolen, hbmStolen, serialize floa
 		act.Mat += m
 		act.Mem += mem
 	}
-	commUtil := 0.0
 	for i, t := range d.comms {
 		if d.waiting[i] {
 			continue
 		}
 		cd := t.Payload().(collective.Desc)
-		wireRate := cd.WireBW(c.fabric)
-		commUtil += wireRate / c.g.UniLinkBW()
-		act.Mem += collective.HBMDraw(cd, c.g, wireRate) / c.g.MemBW()
+		c.addComm(&act, cd, cd.WireBW(c.fabric))
 	}
-	act.Comm = commUtil
-	act.Surge = surgeActivity(act)
+	act.Surge = surgeActivity(act, surgeMatWeight)
 	return act.Clamped()
+}
+
+// addComm adds to act the link utilization and the HBM draw of
+// collective cd moving wireRate bytes per second.
+func (c *Cluster) addComm(act *power.Activity, cd collective.Desc, wireRate float64) {
+	act.Comm += wireRate / c.g.UniLinkBW()
+	act.Mem += collective.HBMDraw(cd, c.g, wireRate) / c.g.MemBW()
 }
 
 // surgeMatWeight makes matrix-unit activity contribute disproportionately
@@ -662,14 +665,14 @@ func (c *Cluster) deviceActivity(dev int, f, smStolen, hbmStolen, serialize floa
 // (deviceActivity): tensor-core current transients are the worst case
 // for the voltage regulators, so matrix-heavy overlap throttles the
 // frequency harder. The recorded watts do not see it: segmentActivity
-// prices each segment with an unweighted Vec+Mat surge, so the weight
-// moves power only through the frequency the solve picks.
+// prices each segment with the same surge at a matrix weight of 1, so
+// the weight moves power only through the frequency the solve picks.
 const surgeMatWeight = 2.5
 
 // surgeActivity derives the compute∧communication co-activity that drives
-// the transient surge component.
-func surgeActivity(act power.Activity) float64 {
-	computeAct := act.Vec + surgeMatWeight*act.Mat
+// the transient surge component, with matrix activity weighted by matW.
+func surgeActivity(act power.Activity, matW float64) float64 {
+	computeAct := act.Vec + matW*act.Mat
 	if computeAct <= 0.05 || act.Comm <= 0.05 {
 		return 0
 	}
@@ -729,14 +732,8 @@ func (c *Cluster) segmentActivity(dev int) power.Activity {
 		act.Mem += mem
 	}
 	for _, t := range d.comms {
-		cd := t.Payload().(collective.Desc)
-		wireRate := t.Rate()
-		act.Comm += wireRate / c.g.UniLinkBW()
-		act.Mem += collective.HBMDraw(cd, c.g, wireRate) / c.g.MemBW()
+		c.addComm(&act, t.Payload().(collective.Desc), t.Rate())
 	}
-	computeAct := act.Vec + act.Mat
-	if computeAct > 0.05 && act.Comm > 0.05 {
-		act.Surge = math.Min(computeAct, act.Comm)
-	}
+	act.Surge = surgeActivity(act, 1)
 	return act.Clamped()
 }

@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// detectClassesRef is the detector as it stood before the position,
-// signature and in-degree passes were fused: a separate walk over every
-// edge counts each task's predecessors, the device signature is a pass
-// of its own, and the predecessor-list lengths are mixed and compared
-// on top of the in-degree. It is kept verbatim as the reference the
-// differential tests hold DetectClasses to: identical classes and an
-// identical mirror mapping on every DAG.
+// detectClassesRef is an earlier form of the detector, kept verbatim as
+// the reference the differential tests hold DetectClasses to: identical
+// classes and an identical mirror mapping on every DAG. It reaches them
+// another way: devices bucket by a structural signature and verify only
+// within their bucket, a separate walk over every edge counts each
+// task's predecessors, and the predecessor-list lengths are compared on
+// top of the in-degree.
 func (e *Engine) detectClassesRef(eq func(a, b any) bool) []Class {
 	if e.ran || eq == nil || len(e.streams) == 0 {
 		return nil
@@ -282,8 +282,8 @@ func TestDetectClassesMatchesReference(t *testing.T) {
 		{"perturbed rank", func() *Engine { e, _ := symDAG(4, 6, perturb); return e }, [][]int{{0, 1, 3}, {2}, {4}}},
 		{"ddp barrier", ddpBarrierDAG, [][]int{{0}, {1, 2}, {3}}},
 		// Ranks {0,1} and {2,3} carry different payloads and nothing
-		// else differs: one signature bucket, two classes. Ranks 2 and 3
-		// fail their first candidate; rank 3 must find rank 2's class.
+		// else differs: two classes that only the payloads tell apart.
+		// Rank 3 fails rank 0's class and must find rank 2's.
 		{"payload split", payloadSplitDAG, [][]int{{0, 1}, {2, 3}, {4}}},
 		{"fuzz seed", func() *Engine { return classFuzzDAG([]byte{5, 7, 3, 17, 2, 0, 40, 26, 0, 9, 5, 250}) }, nil},
 		// Rank 0's third slot waits on its second slot, rank 1's on its

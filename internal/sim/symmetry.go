@@ -27,9 +27,10 @@ import (
 // its symmetric calls; FSDP plans do this. That ghost ledger lets
 // CollapseDeclared collapse the class in O(fan-outs + collectives)
 // without walking the tasks. DetectClasses proves symmetry structurally
-// instead, trusting no builder's word: it serves the plans that declare
-// nothing (DDP, TP, pipeline, hand-assembled plans) and the declared
-// plans whose census check fails, its classes collapse through
+// instead, trusting no builder's word, one device at a time against the
+// representatives of the classes found so far: it serves the plans that
+// declare nothing (DDP, TP, pipeline, hand-assembled plans) and the
+// declared plans whose census check fails, its classes collapse through
 // Collapse's creation-order passes, and both are the oracle the tests
 // hold every declaration and every ledger collapse to.
 //
@@ -77,22 +78,14 @@ type Class struct {
 // It overwrites any mirror a builder declared on those tasks, and so
 // voids the ghost ledger.
 //
-// DetectClasses is the path of plans whose builder declares no symmetry
-// (DDP, TP, pipeline and hand-assembled plans) and of declared plans
-// whose census no longer matches their builder's tally; tests compare
-// every declaration against it.
-//
-// The proof walks the tasks in creation order — the order they sit in
-// the slab — three times. The first pass records each task's structural
-// position, mixes per-stream signatures and lays out the in-degree
-// offsets; the second fills the predecessor index from the successor
-// lists; the third checks every task of a candidate device against its
-// positional counterpart on the first device of the candidate's
-// signature bucket, writing the mirror as it goes. A device that fails
-// that check drops its partial mirrors and falls back to a per-device
-// verification against the bucket's later classes, so the partition is
-// the greedy first-match one: each device joins the first class, in
-// order of creation, whose representative it verifies against.
+// The partition is the greedy first-match one: each mergeable device, in
+// device order, is verified against the representative of every earlier
+// class, in order of creation, and joins the first it pairs with. One
+// creation-order pass indexes each task's structural slot and lays out a
+// flat predecessor index, which one walk over the successor lists fills.
+// A verification compares shapes first, then pairs the two devices'
+// tasks positionally, and writes the mirrors only once the whole device
+// pairs; it costs O(tasks + edges) of the device it proves.
 func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	if e.ran || e.stGhosts > 0 || eq == nil || len(e.streams) == 0 {
 		return nil
@@ -100,99 +93,62 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	e.ledger.void = true // the proof rewrites mirrors
 	maxDev := -1
 	for _, s := range e.streams {
-		if s.device > maxDev {
-			maxDev = s.device
-		}
+		maxDev = max(maxDev, s.device)
 	}
 	if maxDev < 0 {
 		return nil
 	}
 	// Streams per device, in creation order: the order the builder made
-	// them is the alignment the verification walks. within is each
-	// stream's index on its device.
+	// them is the alignment the verification walks. A task's slot is its
+	// index among its device's tasks with the device's queues laid end to
+	// end in that order; next[s] is the slot of stream s's next task.
 	devStreams := make([][]*Stream, maxDev+1)
-	within := make([]int32, len(e.streams))
+	next := make([]int32, len(e.streams))
+	slots := make([]int32, maxDev+1)
 	for _, s := range e.streams {
-		within[s.seq] = int32(len(devStreams[s.device]))
 		devStreams[s.device] = append(devStreams[s.device], s)
+		next[s.seq] = slots[s.device]
+		slots[s.device] += int32(len(s.queue))
 	}
 
-	// Position index: for single-stream tasks, (device, stream index
-	// within the device, queue position) identifies the task's structural
-	// slot; counterpart dependencies are paired through it. Multi-stream
-	// tasks get no position and veto every device they touch. A stream's
-	// queue holds its tasks in creation order, so a running count per
-	// stream yields the queue position.
-	//
-	// The same pass mixes a signature per stream; devices combine their
-	// streams' signatures and bucket by the result. A word-at-a-time
-	// FNV-style mix: collisions only cost a failed verification, so a
-	// fast weak hash beats a slow strong one. The in-degree stands for
-	// the predecessor count: before a run or a collapse, After is its
-	// only writer, once per edge.
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-		devMulti  = -1
-	)
+	// Position index: a single-stream task's (device, slot) is its
+	// structural position, through which counterpart dependencies pair.
+	// Multi-stream, callback and non-pending tasks get no position and
+	// veto every device they touch. A stream's queue holds its tasks in
+	// creation order, so a running count per stream yields the slot. The
+	// same pass sizes each task's range of the flat predecessor index by
+	// its in-degree — before a run or a collapse, After is its only
+	// writer, once per edge — and sets end[i] to the range's start.
 	nT := len(e.tasks)
 	posDev := make([]int32, nT)
-	posStream := make([]int32, nT)
-	posQueue := make([]int32, nT)
+	posSlot := make([]int32, nT)
 	end := make([]int32, nT)
-	mergeable := make([]bool, maxDev+1)
-	for dev, ss := range devStreams {
-		mergeable[dev] = len(ss) > 0
-	}
-	queued := make([]int32, len(e.streams))
-	streamSig := make([]uint64, len(e.streams))
-	for i := range streamSig {
-		streamSig[i] = fnvOffset
-	}
+	vetoed := make([]bool, maxDev+1)
 	n := int32(0)
 	for i, t := range e.tasks {
 		end[i] = n
 		n += int32(t.deps)
 		if len(t.streams) > 1 || len(t.onDone) > 0 || t.st != statePending {
 			for _, s := range t.streams {
-				mergeable[s.device] = false
-				queued[s.seq]++
+				vetoed[s.device] = true
+				next[s.seq]++
 			}
-			posDev[i] = devMulti
+			posDev[i] = -1
 			continue
 		}
 		s := t.streams[0]
-		posDev[i] = int32(s.device)
-		posStream[i] = within[s.seq]
-		posQueue[i] = queued[s.seq]
-		queued[s.seq]++
-		h := streamSig[s.seq]
-		h = (h ^ (uint64(t.kind)<<32 ^ uint64(t.deps))) * fnvPrime
-		streamSig[s.seq] = (h ^ math.Float64bits(t.work)) * fnvPrime
-	}
-	sig := make([]uint64, maxDev+1)
-	for dev, ss := range devStreams {
-		if !mergeable[dev] {
-			continue
-		}
-		h := uint64(fnvOffset)
-		h = (h ^ uint64(len(ss))) * fnvPrime
-		for _, s := range ss {
-			h = (h ^ uint64(len(s.queue))) * fnvPrime
-			h = (h ^ streamSig[s.seq]) * fnvPrime
-		}
-		sig[dev] = h
+		posDev[i], posSlot[i] = int32(s.device), next[s.seq]
+		next[s.seq]++
 	}
 
-	// Flat predecessor index. Symmetric builders emit counterpart edges
-	// in the same global order on every member device, so the per-task
-	// pred lists of counterpart tasks align positionally. Each task's
-	// slot is sized by its in-degree; one walk over the successor lists
-	// in creation order fills the slots, advancing end[i] from the slot's
-	// start to its end. The index stores seq numbers, not pointers:
-	// tasks[i].seq == i makes them equivalent, and a pointer-free slab is
-	// invisible to the garbage collector — at cluster scale this index is
-	// the detector's largest allocation.
+	// One walk over the successor lists in creation order fills the
+	// ranges, advancing end[i] from the range's start to its end.
+	// Symmetric builders emit counterpart edges in the same global order
+	// on every member device, so the predecessor lists of counterpart
+	// tasks align positionally. The index stores seq numbers, not
+	// pointers: tasks[i].seq == i makes them equivalent, and a
+	// pointer-free slab is invisible to the garbage collector — at
+	// cluster scale this index is the detector's largest allocation.
 	flat := make([]int32, n)
 	for _, t := range e.tasks {
 		for _, s := range t.succs {
@@ -202,7 +158,9 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	}
 	preds := func(t *Task) []int32 { return flat[end[t.seq]-int32(t.deps) : end[t.seq]] }
 
-	// pair proves tb on device b the structural twin of ta on device a.
+	// pair proves tb on device b the structural twin of ta on device a;
+	// verify has checked that the two devices' queues have one shape, so
+	// equal slots are the same stream and queue position.
 	pair := func(ta, tb *Task, a, b int32) bool {
 		if ta.kind != tb.kind ||
 			math.Float64bits(ta.work) != math.Float64bits(tb.work) ||
@@ -216,84 +174,21 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 			if da == db {
 				continue // shared dependency (collective, barrier)
 			}
-			if posDev[da] == a && posDev[db] == b &&
-				posStream[da] == posStream[db] &&
-				posQueue[da] == posQueue[db] {
+			if posDev[da] == a && posDev[db] == b && posSlot[da] == posSlot[db] {
 				continue // positional counterpart on the peer device
 			}
 			return false
 		}
 		return true
 	}
-	sameShape := func(a, b int) bool {
-		sa, sb := devStreams[a], devStreams[b]
-		if len(sa) != len(sb) {
-			return false
-		}
-		for si := range sa {
-			if len(sa[si].queue) != len(sb[si].queue) {
-				return false
-			}
-		}
-		return true
-	}
 
-	// Candidates: every mergeable device whose signature bucket already
-	// has a first device is checked against that device in one
-	// creation-order pass. first[dev] is the bucket's first device for a
-	// candidate, candFounder for the device that opens its bucket,
-	// candFailed once the check (or the shape check) fails, and candNone
-	// for a device that is not mergeable.
-	const (
-		candFounder = -1
-		candFailed  = -2
-		candNone    = -3
-	)
-	first := make([]int32, maxDev+1)
-	buckets := make(map[uint64][]int) // signature -> class indices (looked up, never ranged)
-	founder := make(map[uint64]int32)
-	candidates := 0
-	for dev := range devStreams {
-		if !mergeable[dev] {
-			first[dev] = candNone
-			continue
-		}
-		f, ok := founder[sig[dev]]
-		switch {
-		case !ok:
-			founder[sig[dev]] = int32(dev)
-			first[dev] = candFounder
-		case sameShape(int(f), dev):
-			first[dev] = f
-			candidates++
-		default:
-			first[dev] = candFailed
-		}
-	}
-	if candidates > 0 {
-		for i, tb := range e.tasks {
-			b := posDev[i]
-			if b < 0 || first[b] < 0 {
-				continue
-			}
-			a := first[b]
-			ta := devStreams[a][posStream[i]].queue[posQueue[i]]
-			if !pair(ta, tb, a, b) {
-				first[b] = candFailed
-				continue
-			}
-			tb.mirror = ta
-		}
-	}
-
-	// verify is the per-device fallback for a device that failed its
-	// bucket's first class: it proves b against class representative a
-	// and records the mirror mapping only once the whole device pairs.
+	// verify proves device b the twin of class representative a and
+	// records the mirror mapping only once the whole device pairs.
 	verify := func(a, b int) bool {
-		if !sameShape(a, b) {
+		sa, sb := devStreams[a], devStreams[b]
+		if !slices.EqualFunc(sa, sb, func(x, y *Stream) bool { return len(x.queue) == len(y.queue) }) {
 			return false
 		}
-		sa, sb := devStreams[a], devStreams[b]
 		for si := range sa {
 			qa, qb := sa[si].queue, sb[si].queue
 			for qi := range qa {
@@ -311,42 +206,24 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 		return true
 	}
 
+	// open lists the classes a later device may join: those whose
+	// representative is not vetoed.
 	var classes []Class
-	for dev := 0; dev <= maxDev; dev++ {
-		if len(devStreams[dev]) == 0 {
+	var open []int
+devices:
+	for dev, ss := range devStreams {
+		if len(ss) == 0 {
 			continue
 		}
-		if !mergeable[dev] {
-			classes = append(classes, Class{Members: []int{dev}})
-			continue
-		}
-		bucket := buckets[sig[dev]]
-		switch first[dev] {
-		case candFounder:
-		case candFailed:
-			// Drop the mirrors the creation-order check wrote before it
-			// failed, then try the bucket's later classes in order.
-			for _, s := range devStreams[dev] {
-				for _, t := range s.queue {
-					t.mirror = nil
-				}
-			}
-			matched := -1
-			for _, ci := range bucket[1:] {
+		if !vetoed[dev] {
+			for _, ci := range open {
 				if verify(classes[ci].Members[0], dev) {
-					matched = ci
-					break
+					classes[ci].Members = append(classes[ci].Members, dev)
+					continue devices
 				}
 			}
-			if matched >= 0 {
-				classes[matched].Members = append(classes[matched].Members, dev)
-				continue
-			}
-		default:
-			classes[bucket[0]].Members = append(classes[bucket[0]].Members, dev)
-			continue
+			open = append(open, len(classes))
 		}
-		buckets[sig[dev]] = append(bucket, len(classes))
 		classes = append(classes, Class{Members: []int{dev}})
 	}
 	return classes

@@ -158,6 +158,29 @@ func TestDetectClassesVetoes(t *testing.T) {
 			}
 		}
 	})
+	// A vetoed device ahead of two identical ones: the pair must merge
+	// with each other, never into the vetoed device's class, which
+	// pairs with them task for task but for its callback.
+	t.Run("vetoed device before a mergeable pair", func(t *testing.T) {
+		e := NewEngine(PlatformFunc(flatRate))
+		tasks := make([][]*Task, 3)
+		for d := range tasks {
+			s := e.NewStream(name(d), d)
+			first := e.NewTask("x", KindCompute, 1, 0, s)
+			tasks[d] = []*Task{first, e.NewTask("y", KindCompute, 2, 1, s).After(first)}
+		}
+		tasks[0][1].OnDone(func(float64) {})
+		got := e.DetectClasses(intEq)
+		want := [][]int{{0}, {1, 2}}
+		if !slices.EqualFunc(got, want, func(c Class, m []int) bool { return slices.Equal(c.Members, m) }) {
+			t.Fatalf("classes %v, want %v", got, want)
+		}
+		for i, tb := range tasks[2] {
+			if tb.Mirror() != tasks[1][i] {
+				t.Fatalf("device 2 task %d mirrors %v, want device 1's", i, tb.Mirror())
+			}
+		}
+	})
 	t.Run("nil eq", func(t *testing.T) {
 		e, _ := symDAG(2, 2, nil)
 		if got := e.DetectClasses(nil); got != nil {
