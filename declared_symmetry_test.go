@@ -83,7 +83,8 @@ func runDigest(t *testing.T, plan *exec.Plan) string {
 // detector: an identically built plan, its mirrors cleared, must detect
 // the declared classes and record the same mirror on every task; and
 // the declared collapse must reproduce that plan's full run bit for bit
-// (schedule, power telemetry and measurements).
+// (schedule, power telemetry and measurements). Each plan's measurement
+// must also equal the full extraction (requireMeasurementMatchesOracle).
 func requireDeclaredMatchesOracle(t *testing.T, build func() (*exec.Plan, error)) {
 	t.Helper()
 	declared, err := build()
@@ -138,6 +139,8 @@ func requireDeclaredMatchesOracle(t *testing.T, build func() (*exec.Plan, error)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("measurements diverged:\ndeclared %+v\nfull     %+v", got, want)
 	}
+	requireMeasurementMatchesOracle(t, declared)
+	requireMeasurementMatchesOracle(t, oracle)
 }
 
 // TestFSDPDeclaredMatchesDetector: on every FSDP shape the paper, the
@@ -354,8 +357,10 @@ func TestLedgerMatchesCollapse(t *testing.T) {
 
 // TestCancelledCollapseReportsMirrors cancels a collapsed 4×8 FSDP run
 // from an observer midway. A ghost answers Done, Start and End from its
-// mirror, so no ghost is done whose mirror is not, and the measured
-// timeline gives every ghost rank its representative's intervals.
+// mirror, so no ghost is done whose mirror is not, the engine counts
+// retired exactly the tasks that answer Done, measurement equals the
+// full extraction, and the measured timeline gives every ghost rank its
+// representative's intervals.
 func TestCancelledCollapseReportsMirrors(t *testing.T) {
 	cfg := core.Config{
 		System:      hw.NewMultiNode(hw.H100(), 8, 4),
@@ -407,6 +412,16 @@ func TestCancelledCollapseReportsMirrors(t *testing.T) {
 		if done == 0 || pending == 0 {
 			t.Fatalf("%v: %d ghosts done, %d pending: cancel did not land mid-run", mode, done, pending)
 		}
+		answered := 0
+		for _, task := range plan.Engine.Tasks() {
+			if task.Done() {
+				answered++
+			}
+		}
+		if got := plan.EngineStats().TasksRetired; got != answered {
+			t.Fatalf("%v: %d tasks retired, %d answer Done", mode, got, answered)
+		}
+		requireMeasurementMatchesOracle(t, plan)
 		tl, err := plan.MeasuredTimeline()
 		if err != nil {
 			t.Fatal(err)

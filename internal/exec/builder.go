@@ -30,10 +30,11 @@ type Op struct {
 // its own task DAG and its overlapped-mode communication streams.
 //
 // The builder pre-sizes the engine's slab allocators for the plan's
-// expected task count and assembles the dotted per-layer/per-device task
-// names in a reusable buffer, so building a plan allocates per task only
-// what outlives construction: its queue slots, and its name — one string
-// per Compute fan-out, which the fan-out's tasks slice.
+// expected task count and assembles the dotted per-layer task names in a
+// reusable buffer, so building a plan allocates per task only what
+// outlives construction: its queue slots. A Compute fan-out stores its
+// base name once; each task formats its "@device" suffix only when its
+// Name is asked for (sim.Task.NameByDevice).
 //
 // A strategy whose ranks are symmetric by construction declares them
 // (DeclareReplicas) and makes every replica task, every edge into one
@@ -73,7 +74,6 @@ type Builder struct {
 	chain   *Chain        // sequential mode only
 	prep    *collective.Preparer
 	buf     []byte      // name assembly, reused
-	ends    []int       // end offset of each name of a Compute fan-out in buf
 	colls   []*sim.Task // every Collective task, in creation order
 
 	// lo and hi bound the declared replica devices (none while lo ==
@@ -155,7 +155,8 @@ func (b *Builder) NewStream(name string, device int) *sim.Stream {
 // Plan builds warmup+iters iterations through build, which receives the
 // iteration index, and groups each call's tasks as one iteration of the
 // returned plan. The plan keeps the collective tasks the builder created,
-// which is what lets it collapse, and the declared replicas with the
+// which is what lets it collapse, the compute streams, which with the
+// collectives are what it measures, and the declared replicas with the
 // tally of what the builder made (see Plan.RunContext).
 func (b *Builder) Plan(warmup, iters int, build func(it int)) *Plan {
 	p := &Plan{Engine: b.Eng, Cluster: b.cl, Warmup: warmup}
@@ -164,7 +165,7 @@ func (b *Builder) Plan(warmup, iters int, build func(it int)) *Plan {
 		build(it)
 		p.Iterations = append(p.Iterations, b.Eng.Tasks()[start:])
 	}
-	p.built, p.collectives = true, b.colls
+	p.built, p.collectives, p.compute = true, b.colls, b.streams
 	if b.declared() && !b.vetoed {
 		p.replicas, p.census = b.devices[b.lo:b.hi], b.made
 	}
@@ -204,29 +205,21 @@ func (b *Builder) computeOn(name string, op Op, dev int) (*sim.Task, int) {
 }
 
 // Compute creates one compute task per device in [lo, hi), named
-// base@device. The fan-out's names are assembled back to back in the
-// reusable buffer and converted to one string that every name slices,
-// so a fan-out allocates one name string instead of one per device.
+// base@device. Every task stores the one base string and formats its
+// suffix on demand (sim.Task.NameByDevice), so a fan-out allocates no
+// name.
 //
 // A fan-out over every device is a symmetric call: it tallies its tasks
 // and chain edges and makes the first replica's task every other replica
 // task's mirror (sim.Engine.Replicate).
 func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
-	b.buf, b.ends = b.buf[:0], b.ends[:0]
-	for d := lo; d < hi; d++ {
-		b.buf = append(b.buf, base...)
-		b.buf = append(b.buf, '@')
-		b.buf = strconv.AppendInt(b.buf, int64(d), 10)
-		b.ends = append(b.ends, len(b.buf))
-	}
-	names := string(b.buf)
 	out := make([]*sim.Task, hi-lo)
-	start, edges := 0, 0
-	for i, end := range b.ends {
+	edges := 0
+	for i := range out {
 		var e int
-		out[i], e = b.computeOn(names[start:end], op, lo+i)
+		out[i], e = b.computeOn(base, op, lo+i)
+		out[i].NameByDevice()
 		edges += e
-		start = end
 	}
 	if lo == 0 && hi == len(b.streams) {
 		if b.declared() {

@@ -9,8 +9,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 
+	"overlapsim/internal/collective"
 	"overlapsim/internal/gpu"
+	"overlapsim/internal/kernels"
 	"overlapsim/internal/metrics"
 	"overlapsim/internal/sim"
 	"overlapsim/internal/trace"
@@ -61,12 +66,14 @@ type Plan struct {
 
 	ran bool
 	// built is set by Builder.Plan, which also records collectives:
-	// every collective task of the plan, in creation order. Only a built
-	// plan collapses — the collapse veto of detected classes reads the
-	// recorded collectives instead of inspecting every task's payload,
-	// and a hand-assembled plan has no record to read.
+	// every collective task of the plan, in creation order, and compute:
+	// each device's compute stream. Only a built plan collapses — the
+	// collapse veto of detected classes reads the recorded collectives
+	// instead of inspecting every task's payload, and a hand-assembled
+	// plan has no record to read. Measurement reads the same record.
 	built       bool
 	collectives []*sim.Task
+	compute     []*sim.Stream
 	// replicas are the devices the builder declared rank-symmetric, and
 	// census its tally of what it made through symmetric calls; nil
 	// replicas when it declared none or a collective vetoed the
@@ -75,7 +82,8 @@ type Plan struct {
 	census   sim.Census
 	// alias maps every device to its class representative after a
 	// collapsed run, nil when the plan ran in full. It feeds both the
-	// cluster's telemetry back-fill and measurement extraction.
+	// cluster's telemetry back-fill and measurement, which reads only
+	// the representatives.
 	alias []int
 }
 
@@ -154,46 +162,184 @@ func (p *Plan) MeasuredIterations() ([]metrics.Iteration, error) {
 		return nil, fmt.Errorf("MeasuredIterations: %w", ErrNotRun)
 	}
 	var out []metrics.Iteration
-	for i := p.Warmup; i < len(p.Iterations); i++ {
-		out = append(out, iterationMeasurement(p.Iterations[i], p.alias))
+	for _, it := range p.measured() {
+		r, lo, hi := p.reader(it)
+		out = append(out, iterationMeasurement(trace.FromDevices(r.intervals(lo, hi)), p.alias))
 	}
 	return out, nil
 }
 
 // MeasuredTimeline returns the merged kernel timeline of the measured
-// iterations (for overlap-ratio and trace reporting). It returns
-// ErrNotRun if the plan has not executed yet.
+// iterations, every device included (for overlap-ratio and trace
+// reporting). It reads the representative devices only: a ghost
+// device's intervals are its representative's, copied through the
+// alias. It returns ErrNotRun if the plan has not executed yet.
 func (p *Plan) MeasuredTimeline() (*trace.Timeline, error) {
 	if !p.ran {
 		return nil, fmt.Errorf("MeasuredTimeline: %w", ErrNotRun)
 	}
-	var tasks []*sim.Task
-	for i := p.Warmup; i < len(p.Iterations); i++ {
-		tasks = append(tasks, p.Iterations[i]...)
-	}
-	return trace.FromTasks(tasks), nil
-}
-
-// iterationMeasurement extracts the paper's per-iteration measurement from
-// one iteration's completed tasks. Kernel times are averaged across the
-// devices present so that Eq. 4's subtraction of the absolute compute
-// slowdown from the wall-clock E2E is dimensionally per-GPU.
-//
-// alias is the device→representative map of a collapsed run. The
-// timeline is built over representative devices only, and each device
-// adds its representative's per-device tuple — the same additions in the
-// same device order as the full extraction, since a ghost's intervals
-// are bitwise copies of its representative's. A nil alias means the
-// devices present, each its own representative. The result is
-// bit-identical either way.
-func iterationMeasurement(tasks []*sim.Task, alias []int) metrics.Iteration {
-	var keep func(device int) bool
-	if alias != nil {
-		keep = func(device int) bool {
-			return device >= len(alias) || alias[device] == device
+	r, lo, hi := p.reader(p.measured()...)
+	ivs := r.intervals(lo, hi)
+	for d, rep := range p.alias {
+		if rep != d {
+			ghost := slices.Clone(ivs[rep])
+			for i := range ghost {
+				ghost[i].Device = d
+			}
+			ivs[d] = ghost
 		}
 	}
-	tl := trace.FromTasksKept(tasks, keep)
+	return trace.FromDevices(ivs), nil
+}
+
+// measured returns the non-warmup iterations.
+func (p *Plan) measured() [][]*sim.Task {
+	return p.Iterations[min(p.Warmup, len(p.Iterations)):]
+}
+
+// reader reads a finished plan's kernel intervals off its representative
+// devices: for each, the tasks of its compute stream, plus the
+// collectives, both in creation order. What it reads grows with what
+// was simulated, not with the plan: a ghost device is never read.
+type reader struct {
+	compute [][]*sim.Task // by device; nil off the representatives
+	colls   []*sim.Task
+	alias   []int // device → representative; nil when each device is its own
+}
+
+// reader returns the reader of the iterations its of a finished plan,
+// and the creation-index range [lo, hi) to read. A built plan's reader
+// reads the builder's record: each representative's compute stream,
+// which keeps its history after the run, and the recorded collectives;
+// the iterations are consecutive ranges of creation order, so their
+// first and last tasks bound them. A hand-assembled plan has no record,
+// so its reader comes from one walk of the iterations' tasks, all of
+// which it reads.
+func (p *Plan) reader(its ...[]*sim.Task) (r *reader, lo, hi int) {
+	if !p.built {
+		return walk(its), math.MinInt, math.MaxInt
+	}
+	r = &reader{compute: make([][]*sim.Task, len(p.compute)), colls: p.collectives, alias: p.alias}
+	for d, s := range p.compute {
+		if r.rep(d) {
+			r.compute[d] = s.Tasks()
+		}
+	}
+	lo, hi = math.MaxInt, 0
+	for _, it := range its {
+		if len(it) > 0 {
+			lo, hi = min(lo, it[0].Seq()), max(hi, it[len(it)-1].Seq()+1)
+		}
+	}
+	return r, min(lo, hi), hi
+}
+
+// walk reads the kernels and collectives of the iterations' tasks in one
+// pass, in the order given: the reader of a plan not made by Builder.
+func walk(its [][]*sim.Task) *reader {
+	r := &reader{}
+	grow := func(d int) {
+		for d >= len(r.compute) {
+			r.compute = append(r.compute, nil)
+		}
+	}
+	for _, it := range its {
+		for _, t := range it {
+			switch c := t.Payload().(type) {
+			case kernels.Desc:
+				d := t.Streams()[0].Device()
+				grow(d)
+				r.compute[d] = append(r.compute[d], t)
+			case collective.Desc:
+				r.colls = append(r.colls, t)
+				for _, q := range c.Participants() {
+					grow(q)
+				}
+			}
+		}
+	}
+	return r
+}
+
+// rep reports whether the reader reads device d: whether d is a
+// representative.
+func (r *reader) rep(d int) bool { return r.alias == nil || d >= len(r.alias) || r.alias[d] == d }
+
+// between returns the tasks of ts, which is in creation order, whose
+// creation index lies in [lo, hi).
+func between(ts []*sim.Task, lo, hi int) []*sim.Task {
+	i := sort.Search(len(ts), func(i int) bool { return ts[i].Seq() >= lo })
+	j := sort.Search(len(ts), func(i int) bool { return ts[i].Seq() >= hi })
+	return ts[i:j]
+}
+
+// intervals returns, by device, the intervals of the completed tasks
+// created in [lo, hi) on each representative: a compute kernel adds one
+// on its stream's device, a collective one on each participant. Each
+// device's list is in creation order, compute and collectives merged,
+// as trace.FromDevices expects, and is sized exactly up front from one
+// shared allocation.
+func (r *reader) intervals(lo, hi int) [][]trace.Interval {
+	colls := between(r.colls, lo, hi)
+	kernelsOf := make([][]*sim.Task, len(r.compute))
+	total := 0
+	for d, ts := range r.compute {
+		if r.rep(d) {
+			kernelsOf[d] = between(ts, lo, hi)
+			total += len(kernelsOf[d]) + len(colls)
+		}
+	}
+	buf := make([]trace.Interval, total)
+	out := make([][]trace.Interval, len(r.compute))
+	for d, ts := range kernelsOf {
+		if !r.rep(d) {
+			continue
+		}
+		n := len(ts) + len(colls)
+		out[d] = deviceIntervals(buf[:0:n], d, ts, colls)
+		buf = buf[n:]
+	}
+	return out
+}
+
+// deviceIntervals appends to ivs device d's intervals from its compute
+// tasks ts and the collectives colls, merging the two by creation index.
+// A collective lists its participants (collective.Desc.ParticipantsIn
+// counts a repeated one once per listing).
+func deviceIntervals(ivs []trace.Interval, d int, ts, colls []*sim.Task) []trace.Interval {
+	for len(ts) > 0 || len(colls) > 0 {
+		if len(colls) == 0 || len(ts) > 0 && ts[0].Seq() < colls[0].Seq() {
+			t := ts[0]
+			ts = ts[1:]
+			if k, ok := t.Payload().(kernels.Desc); ok && t.Done() {
+				ivs = append(ivs, trace.Interval{Start: t.Start(), End: t.End(), Name: k.Name, Kind: sim.KindCompute, Device: d})
+			}
+			continue
+		}
+		t := colls[0]
+		colls = colls[1:]
+		if c, ok := t.Payload().(collective.Desc); ok && t.Done() {
+			for n := c.ParticipantsIn(d, d+1); n > 0; n-- {
+				ivs = append(ivs, trace.Interval{Start: t.Start(), End: t.End(), Name: c.Name, Kind: sim.KindComm, Device: d})
+			}
+		}
+	}
+	return ivs
+}
+
+// iterationMeasurement extracts the paper's per-iteration measurement
+// from one iteration's timeline, read off the representative devices.
+// Kernel times are averaged across the devices present so that Eq. 4's
+// subtraction of the absolute compute slowdown from the wall-clock E2E
+// is dimensionally per-GPU.
+//
+// alias is the device→representative map of a collapsed run: each
+// device adds its representative's per-device tuple — the same
+// additions in the same device order as a full extraction, since a
+// ghost's intervals are bitwise copies of its representative's. A nil
+// alias means the devices present, each its own representative. The
+// result is bit-identical either way.
+func iterationMeasurement(tl *trace.Timeline, alias []int) metrics.Iteration {
 	var it metrics.Iteration
 	devs := tl.Devices()
 	if len(devs) == 0 {

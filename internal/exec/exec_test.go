@@ -8,6 +8,7 @@ import (
 	"overlapsim/internal/kernels"
 	"overlapsim/internal/precision"
 	"overlapsim/internal/sim"
+	"overlapsim/internal/trace"
 )
 
 func TestModeString(t *testing.T) {
@@ -67,10 +68,15 @@ func TestIterationMeasurement(t *testing.T) {
 	d := kernels.Elementwise("k", 1e6, 1, 0, precision.FP16)
 	a := e.NewTask("a", sim.KindCompute, 2, d, s0)
 	b := e.NewTask("b", sim.KindCompute, 4, d, s1)
-	if err := e.Run(); err != nil {
+	p := &Plan{Engine: e, Iterations: [][]*sim.Task{{a, b}}}
+	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	it := iterationMeasurement([]*sim.Task{a, b}, nil)
+	its, err := p.MeasuredIterations()
+	if err != nil || len(its) != 1 {
+		t.Fatalf("measured %v, %v; want one iteration", its, err)
+	}
+	it := its[0]
 	// Kernel times average across the two devices: (2+4)/2 = 3.
 	if it.ComputeKernelTime != 3 {
 		t.Errorf("compute kernel time %g, want 3", it.ComputeKernelTime)
@@ -81,7 +87,7 @@ func TestIterationMeasurement(t *testing.T) {
 }
 
 func TestIterationMeasurementEmpty(t *testing.T) {
-	it := iterationMeasurement(nil, nil)
+	it := iterationMeasurement(trace.FromDevices(nil), nil)
 	if it.E2E != 0 || it.ComputeKernelTime != 0 {
 		t.Errorf("empty measurement %+v", it)
 	}

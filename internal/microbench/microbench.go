@@ -15,7 +15,6 @@ import (
 	"overlapsim/internal/power"
 	"overlapsim/internal/precision"
 	"overlapsim/internal/sim"
-	"overlapsim/internal/trace"
 )
 
 // Config configures one microbenchmark run.
@@ -134,8 +133,12 @@ func runOnce(cfg Config, overlap bool) (*runResult, error) {
 		return nil, err
 	}
 
-	tl := trace.FromTasks(gemms)
-	total, _, _, _ := tl.DeviceOverlap(0)
+	// Kernel time: the GEMMs run back to back on one stream, so summing
+	// their durations in creation order is summing them in start order.
+	total := 0.0
+	for _, g := range gemms {
+		total += g.End() - g.Start()
+	}
 	return &runResult{
 		meanGEMM: total / float64(cfg.Repeats),
 		power:    cl.PowerStats(0),

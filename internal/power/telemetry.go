@@ -2,6 +2,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 
 	"overlapsim/internal/hw"
 )
@@ -143,25 +144,61 @@ const peakPhases = 25
 // monitor at this interval reports as peak over repeated runs. A segment
 // shorter than interval/peakPhases can still escape every grid, exactly
 // as sub-millisecond transients escape real monitors.
+//
+// Phase ph reads the grid float64(k)*interval + ph·interval/peakPhases,
+// k ≥ 0. A grid point belongs to the first segment that ends after it,
+// and reads that segment's watts if the segment has begun. So the points
+// a segment reads are those from the later of its start and every
+// earlier segment's end up to its own end, and one walk over the
+// segments finds the peak: it skips a segment whose watts cannot raise
+// the peak so far, and otherwise tests each phase's first grid point in
+// the segment's readable range, computed by the same float expression.
 func (s *Sampler) Peak() float64 {
+	var offs [peakPhases]float64
+	for ph := range offs {
+		offs[ph] = s.interval * float64(ph) / peakPhases
+	}
 	p := 0.0
-	for ph := 0; ph < peakPhases; ph++ {
-		off := s.interval * float64(ph) / peakPhases
-		si := 0
-		for k := 0; ; k++ {
-			t := float64(k)*s.interval + off
-			for si < len(s.segs) && s.segs[si].t1 <= t {
-				si++
-			}
-			if si >= len(s.segs) {
-				break
-			}
-			if seg := s.segs[si]; t >= seg.t0 && seg.watts > p {
-				p = seg.watts
-			}
+	claimed := math.Inf(-1) // the latest end of the segments walked
+	for _, seg := range s.segs {
+		lo := max(claimed, seg.t0)
+		claimed = max(claimed, seg.t1)
+		if seg.watts > p && s.reads(lo, seg.t1, &offs) {
+			p = seg.watts
 		}
 	}
 	return p
+}
+
+// reads reports whether some phase, offset by one of offs, has a grid
+// point float64(k)*interval + off, k ≥ 0, in [lo, t1). A grid too fine
+// to index its ticks exactly (2^52 of them before lo) reads nothing.
+func (s *Sampler) reads(lo, t1 float64, offs *[peakPhases]float64) bool {
+	if lo >= t1 {
+		return false
+	}
+	// Every offset is below one interval, so each phase's first point at
+	// or after lo is a tick or two from k0; the expression decides.
+	k0 := 0.0
+	if lo > 0 {
+		k0 = math.Ceil(lo/s.interval) - 1
+	}
+	if !(k0 < 1<<52) {
+		return false
+	}
+	for _, off := range offs {
+		k := max(int(k0), 0)
+		for k > 0 && float64(k-1)*s.interval+off >= lo {
+			k--
+		}
+		for float64(k)*s.interval+off < lo {
+			k++
+		}
+		if float64(k)*s.interval+off < t1 {
+			return true
+		}
+	}
+	return false
 }
 
 // PeakInstant returns the highest instantaneous power regardless of

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -215,7 +216,8 @@ func symFuzzDAG(data []byte) (*Engine, [][]*Task) {
 // FuzzEngineSymmetry is the collapse differential: whatever classes the
 // detector proves on a fuzzed rank-replicated DAG, the collapsed run
 // must reproduce the full run bit for bit — every task end, the ghosts'
-// reconstructed times included, and the terminal clock.
+// reconstructed times included, and the terminal clock. It also holds
+// what measurement reads to the full walk (requireRepresentativesRead).
 func FuzzEngineSymmetry(f *testing.F) {
 	f.Add([]byte{4, 6, 0x10, 0x81, 0x05, 0x1f, 0x40, 0xd0})
 	f.Add([]byte{2, 1})
@@ -254,5 +256,55 @@ func FuzzEngineSymmetry(f *testing.F) {
 		if math.Float64bits(e.Now()) != math.Float64bits(ref.Now()) {
 			t.Fatalf("terminal time diverged: %g vs %g", e.Now(), ref.Now())
 		}
+		requireRepresentativesRead(t, e, classes)
 	})
+}
+
+// readSpan is one task's interval as measurement reads it.
+type readSpan struct {
+	kind       Kind
+	start, end uint64
+}
+
+// requireRepresentativesRead checks, on a finished collapsed engine,
+// the two facts measurement rests on when it reads only class
+// representatives: a device's stream history lists, in creation order,
+// exactly the tasks a walk over every task finds on the device, and a
+// collapsed member's tasks, walked in full, report its representative's
+// intervals position by position — what copying the representative's
+// intervals through the alias gives it.
+func requireRepresentativesRead(t *testing.T, e *Engine, classes []Class) {
+	t.Helper()
+	walked := func(dev int) []readSpan {
+		var out []readSpan
+		for _, task := range e.tasks {
+			if task.streams[0].device == dev {
+				out = append(out, readSpan{task.Kind(), math.Float64bits(task.Start()), math.Float64bits(task.End())})
+			}
+		}
+		return out
+	}
+	read := func(dev int) []readSpan {
+		var out []readSpan
+		for _, s := range e.streams {
+			if s.device != dev {
+				continue
+			}
+			for _, task := range s.Tasks() {
+				out = append(out, readSpan{task.Kind(), math.Float64bits(task.Start()), math.Float64bits(task.End())})
+			}
+		}
+		return out
+	}
+	for _, c := range classes {
+		rep := read(c.Members[0])
+		if w := walked(c.Members[0]); !slices.Equal(rep, w) {
+			t.Fatalf("gpu %d: stream history %v, walk %v", c.Members[0], rep, w)
+		}
+		for _, m := range c.Members[1:] {
+			if w := walked(m); !slices.Equal(rep, w) {
+				t.Fatalf("gpu %d (representative %d): walk %v, representative read %v", m, c.Members[0], w, rep)
+			}
+		}
+	}
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 )
 
 // Kind classifies a task for rate computation and tracing.
@@ -70,15 +71,18 @@ type Task struct {
 	// every task pair and the collapse checks on every edge, so those
 	// passes over tens of thousands of tasks touch one or two cache
 	// lines of each. A collapse marks a ghost, and Done, Start and End
-	// tell one apart, within the same line.
-	kind    Kind
-	work    float64
-	payload any
-	deps    int
-	seq     int // creation order, for deterministic iteration
-	st      state
-	ghost   bool  // collapsed: its times and completion are its mirror's (see symmetry.go)
-	mirror  *Task // class-representative counterpart (see symmetry.go)
+	// tell one apart, within the same line. atDevice and twins fill
+	// padding, so the line holds them for free.
+	kind     Kind
+	work     float64
+	payload  any
+	deps     int
+	seq      int // creation order, for deterministic iteration
+	st       state
+	ghost    bool  // collapsed: its times and completion are its mirror's (see symmetry.go)
+	atDevice bool  // Name appends "@" and the device (NameByDevice)
+	twins    int32 // ghosts that mirror this task; they retire with it (see symmetry.go)
+	mirror   *Task // class-representative counterpart (see symmetry.go)
 
 	streams []*Stream
 	succs   []*Task
@@ -96,7 +100,22 @@ type Task struct {
 }
 
 // Name returns the task's diagnostic name.
-func (t *Task) Name() string { return t.name }
+func (t *Task) Name() string {
+	if !t.atDevice {
+		return t.name
+	}
+	return t.name + "@" + strconv.Itoa(t.streams[0].device)
+}
+
+// NameByDevice makes Name report the name the task was created with
+// followed by "@" and its first stream's device: "fwd.l7@3". A builder
+// that fans one kernel out to every device names each task this way, so
+// the fan-out stores its base name once and Name formats the suffix on
+// demand instead of every task holding its own string.
+func (t *Task) NameByDevice() *Task {
+	t.atDevice = true
+	return t
+}
 
 // Kind returns the task's kind.
 func (t *Task) Kind() Kind { return t.kind }
@@ -116,7 +135,7 @@ func (t *Task) Streams() []*Stream { return t.streams }
 func (t *Task) SetRate(r float64) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		//overlaplint:allow nopanic engine invariant: rates are computed by the Platform, not user input; NaN or negative means a model bug
-		panic(fmt.Sprintf("sim: invalid rate %v for task %q", r, t.name))
+		panic(fmt.Sprintf("sim: invalid rate %v for task %q", r, t.Name()))
 	}
 	t.rate = r
 }
@@ -257,6 +276,12 @@ func (s *Stream) Reserve(n int) {
 // Len returns the number of tasks not yet completed on the stream.
 func (s *Stream) Len() int { return len(s.queue) - s.head }
 
+// Tasks returns every task enqueued on the stream, in creation order,
+// the completed ones included: the stream keeps its history after a
+// run, so measurement reads a device's kernels off its stream. The
+// slice is shared: callers must not modify it.
+func (s *Stream) Tasks() []*Task { return s.queue }
+
 func (s *Stream) headTask() *Task {
 	if s.head < len(s.queue) {
 		return s.queue[s.head]
@@ -264,12 +289,14 @@ func (s *Stream) headTask() *Task {
 	return nil
 }
 
+// pop retires the head task. It only advances head: the slot keeps the
+// task (which lives in the engine's slab anyway), so Tasks still lists
+// it.
 func (s *Stream) pop(t *Task) {
 	if s.headTask() != t {
 		//overlaplint:allow nopanic engine invariant: pop is only ever called on the stream head by the scheduler
 		panic("sim: pop of non-head task")
 	}
-	s.queue[s.head] = nil
 	s.head++
 }
 
@@ -329,8 +356,9 @@ type Engine struct {
 	strmNext  int
 	doneTmp   []*Task // retirement scratch, reused across epochs
 
-	// retired counts the tasks done, ghosts included; ledger is the
-	// ghost ledger of a declared class (symmetry.go).
+	// retired counts the tasks that answer Done: a ghost retires with
+	// its mirror (Task.twins). ledger is the ghost ledger of a declared
+	// class (symmetry.go).
 	retired int
 	ledger  ledger
 
@@ -710,8 +738,8 @@ func (e *Engine) finishCompleted() {
 		}
 	}
 	e.running = keep
-	e.retired += len(done)
 	for _, t := range done {
+		e.retired += 1 + int(t.twins)
 		t.st = stateDone
 		t.end = e.now
 		t.remaining = 0
@@ -755,5 +783,5 @@ func (e *Engine) diagnose() string {
 		return "no pending tasks"
 	}
 	return fmt.Sprintf("%d unfinished tasks; first=%q (deps=%d, kind=%s)",
-		n, first.name, first.deps, first.kind)
+		n, first.Name(), first.deps, first.kind)
 }

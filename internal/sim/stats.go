@@ -16,7 +16,8 @@ const (
 // results without breaking byte-identical replays.
 type Stats struct {
 	// Tasks is the number of tasks created; TasksRetired of those
-	// completed. Streams is the stream count.
+	// the ones that answer Done (a ghost once its mirror has). Streams
+	// is the stream count.
 	Tasks        int `json:"tasks"`
 	TasksRetired int `json:"tasks_retired"`
 	Streams      int `json:"streams"`

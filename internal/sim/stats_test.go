@@ -57,3 +57,29 @@ func TestEngineStats(t *testing.T) {
 		t.Errorf("Add did not max gauges: %+v", agg)
 	}
 }
+
+// TestTaskSize pins the task layout: ArenaBytes, which engine stats
+// report and the goldens pin, counts slab bytes in units of Task.
+func TestTaskSize(t *testing.T) {
+	if taskBytes != 200 {
+		t.Fatalf("sim.Task is %d bytes, want 200", taskBytes)
+	}
+}
+
+// TestStreamKeepsHistory: a stream lists every task it ran after the
+// run, in creation order, and a device-named task formats its device.
+func TestStreamKeepsHistory(t *testing.T) {
+	e := NewEngine(unitPlatform())
+	s := e.NewStream("s", 12)
+	a := e.NewTask("fwd.l7", KindCompute, 1, nil, s).NameByDevice()
+	b := e.NewTask("opt", KindCompute, 1, nil, s)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Tasks(); len(got) != 2 || got[0] != a || got[1] != b || s.Len() != 0 {
+		t.Fatalf("history %v (len %d), want [a b] and an empty queue", got, s.Len())
+	}
+	if a.Name() != "fwd.l7@12" || b.Name() != "opt" {
+		t.Fatalf("names %q %q, want fwd.l7@12 and opt", a.Name(), b.Name())
+	}
+}

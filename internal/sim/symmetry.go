@@ -363,16 +363,17 @@ func (e *Engine) Collapse(classes []Class) int {
 		}
 	}
 	e.stGhosts += len(ghosts)
-	e.retired += len(ghosts)
 	return len(ghosts)
 }
 
 // ghostify marks t a ghost: complete up front, never scheduled, its
 // times and completion its mirror's. Both fields share the task's first
-// cache line.
+// cache line. It also counts t among its mirror's twins, so the engine
+// counts t retired when the mirror retires, the moment t answers Done.
 func (t *Task) ghostify() {
 	t.st = stateDone
 	t.ghost = true
+	t.mirror.twins++
 }
 
 // ledger is the ghost ledger of one declared class: where its replica
@@ -486,6 +487,5 @@ func (e *Engine) CollapseDeclared(c Class) (int, bool) {
 	}
 	e.stCollapsed++
 	e.stGhosts += ghosts
-	e.retired += ghosts
 	return ghosts, true
 }

@@ -50,7 +50,7 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 
 func TestWriteChromeEmpty(t *testing.T) {
 	var b bytes.Buffer
-	if err := FromTasks(nil).WriteChrome(&b); err != nil {
+	if err := FromDevices(nil).WriteChrome(&b); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadChromeEventCount(&b); err != nil {

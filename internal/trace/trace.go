@@ -1,15 +1,16 @@
-// Package trace records kernel execution intervals from a finished
+// Package trace holds kernel execution intervals from a finished
 // simulation and implements the interval algebra behind the paper's
 // profiling methodology: per-device compute and communication kernel time,
 // and the overlapped fractions of each (Eq. 2), exactly as the authors
 // extract them from the PyTorch profiler and torch.cuda.event timelines.
+// A timeline is built from per-device interval lists (FromDevices); which
+// tasks contribute them is the reader's business (exec.Plan measures a
+// run from its representative devices only).
 package trace
 
 import (
 	"sort"
 
-	"overlapsim/internal/collective"
-	"overlapsim/internal/kernels"
 	"overlapsim/internal/sim"
 )
 
@@ -30,89 +31,43 @@ func (iv Interval) Dur() float64 { return iv.End - iv.Start }
 
 // Timeline is a set of kernel intervals grouped by device.
 type Timeline struct {
-	byDevice map[int][]Interval
+	byDevice [][]Interval // indexed by device; empty for a device not present
 	start    float64
 	end      float64
-	any      bool
 }
 
-// FromTasks builds a timeline from completed simulation tasks. Compute
-// kernels contribute an interval on their stream's device; collectives
-// contribute an interval on every participant. Tasks that never ran are
-// skipped.
-func FromTasks(tasks []*sim.Task) *Timeline {
-	return FromTasksKept(tasks, nil)
-}
-
-// FromTasksKept builds a timeline restricted to the devices keep accepts
-// (nil keeps every device). The symmetry fast path uses it to extract
-// measurements from class representatives only: a collapsed device's
-// intervals are bitwise copies of its representative's, so skipping them
-// here loses no information and keeps measurement O(live devices).
-func FromTasksKept(tasks []*sim.Task, keep func(device int) bool) *Timeline {
-	tl := &Timeline{byDevice: make(map[int][]Interval)}
-	// Size each device's interval list exactly before filling it: one
-	// allocation per device instead of append doubling.
-	counts := make(map[int]int)
-	for _, t := range tasks {
-		eachDevice(t, keep, func(iv Interval) { counts[iv.Device]++ })
-	}
-	for dev, n := range counts {
-		tl.byDevice[dev] = make([]Interval, 0, n)
-	}
-	for _, t := range tasks {
-		eachDevice(t, keep, tl.add)
-	}
-	tl.sortAll()
-	return tl
-}
-
-// eachDevice is the one mapping from a task to the devices it occupies:
-// it calls fn with the interval a completed task contributes to each
-// device keep accepts — its stream's device for a compute kernel, every
-// participant for a collective.
-func eachDevice(t *sim.Task, keep func(device int) bool, fn func(iv Interval)) {
-	if !t.Done() {
-		return
-	}
-	switch p := t.Payload().(type) {
-	case kernels.Desc:
-		if dev := t.Streams()[0].Device(); keep == nil || keep(dev) {
-			fn(Interval{Start: t.Start(), End: t.End(), Name: p.Name, Kind: sim.KindCompute, Device: dev})
-		}
-	case collective.Desc:
-		for _, r := range p.Participants() {
-			if keep == nil || keep(r) {
-				fn(Interval{Start: t.Start(), End: t.End(), Name: p.Name, Kind: sim.KindComm, Device: r})
-			}
-		}
-	}
-}
-
-func (tl *Timeline) add(iv Interval) {
-	tl.byDevice[iv.Device] = append(tl.byDevice[iv.Device], iv)
-	if !tl.any || iv.Start < tl.start {
-		tl.start = iv.Start
-	}
-	if !tl.any || iv.End > tl.end {
-		tl.end = iv.End
-	}
-	tl.any = true
-}
-
-func (tl *Timeline) sortAll() {
-	for _, ivs := range tl.byDevice {
+// FromDevices builds a timeline from per-device interval lists:
+// byDevice[d] holds device d's intervals, and a device with none is not
+// present. The timeline takes the lists over and sorts each by start in
+// place. The sort is not stable, so the order a list arrives in decides
+// how intervals with equal starts line up, and with it the float sums
+// of DeviceOverlap: readers feed each list in task creation order.
+func FromDevices(byDevice [][]Interval) *Timeline {
+	tl := &Timeline{byDevice: byDevice}
+	seen := false
+	for _, ivs := range byDevice {
 		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+		for _, iv := range ivs {
+			if !seen || iv.Start < tl.start {
+				tl.start = iv.Start
+			}
+			if !seen || iv.End > tl.end {
+				tl.end = iv.End
+			}
+			seen = true
+		}
 	}
+	return tl
 }
 
 // Devices returns the device indices present, in ascending order.
 func (tl *Timeline) Devices() []int {
-	out := make([]int, 0, len(tl.byDevice))
-	for d := range tl.byDevice {
-		out = append(out, d)
+	var out []int
+	for d, ivs := range tl.byDevice {
+		if len(ivs) > 0 {
+			out = append(out, d)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -141,11 +96,13 @@ func (tl *Timeline) KindSpan(k sim.Kind) (start, end float64, ok bool) {
 	return start, end, ok
 }
 
-// Intervals returns the intervals of one device (sorted by start).
+// Intervals returns the intervals of one device, sorted by start. The
+// slice is shared: callers must not modify it.
 func (tl *Timeline) Intervals(device int) []Interval {
-	ivs := tl.byDevice[device]
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-	return ivs
+	if device < 0 || device >= len(tl.byDevice) {
+		return nil
+	}
+	return tl.byDevice[device]
 }
 
 // DeviceOverlap returns the device's summed compute and comm kernel
@@ -156,10 +113,7 @@ func (tl *Timeline) Intervals(device int) []Interval {
 // covered by compute it is the hidden communication time of Eq. 5. A
 // device without intervals returns zeros.
 func (tl *Timeline) DeviceOverlap(device int) (computeT, commT, computeOv, commOv float64) {
-	ivs := tl.byDevice[device]
-	if !sortedByStart(ivs) {
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-	}
+	ivs := tl.Intervals(device)
 	for _, iv := range ivs {
 		switch iv.Kind {
 		case sim.KindCompute:
@@ -171,16 +125,6 @@ func (tl *Timeline) DeviceOverlap(device int) (computeT, commT, computeOv, commO
 	computeOv = sweepIntersect(ivs, sim.KindCompute, unionSorted(ivs, sim.KindComm))
 	commOv = sweepIntersect(ivs, sim.KindComm, unionSorted(ivs, sim.KindCompute))
 	return computeT, commT, computeOv, commOv
-}
-
-// sortedByStart reports whether the intervals are already sorted.
-func sortedByStart(ivs []Interval) bool {
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Start < ivs[i-1].Start {
-			return false
-		}
-	}
-	return true
 }
 
 // unionSorted merges the kind-k intervals of a start-sorted slice into a

@@ -13,13 +13,17 @@ func iv(a, b float64, k sim.Kind, dev int) Interval {
 	return Interval{Start: a, End: b, Kind: k, Device: dev}
 }
 
+// timelineOf builds a timeline from intervals listed in any device
+// order; each device's keep the order they are listed in.
 func timelineOf(ivs ...Interval) *Timeline {
-	tl := FromTasks(nil)
+	var byDevice [][]Interval
 	for _, i := range ivs {
-		tl.add(i)
+		for i.Device >= len(byDevice) {
+			byDevice = append(byDevice, nil)
+		}
+		byDevice[i.Device] = append(byDevice[i.Device], i)
 	}
-	tl.sortAll()
-	return tl
+	return FromDevices(byDevice)
 }
 
 func TestDeviceOverlapKernelTime(t *testing.T) {
@@ -150,10 +154,9 @@ func overlapOracle(ivs []Interval, a, b sim.Kind) float64 {
 // sums and the brute-force oracle.
 func checkDeviceOverlap(t *testing.T, ivs []Interval) bool {
 	t.Helper()
-	tl := FromTasks(nil)
+	tl := timelineOf(ivs...)
 	wantComputeT, wantCommT := 0.0, 0.0
 	for _, x := range ivs {
-		tl.add(x)
 		if x.Kind == sim.KindCompute {
 			wantComputeT += x.Dur()
 		} else {
