@@ -332,6 +332,7 @@ func BenchmarkEngineScale(b *testing.B) {
 				Iterations:  1,
 				Warmup:      0,
 			}
+			edges := censusEdges(b, cfg, exec.Overlapped)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -340,8 +341,22 @@ func BenchmarkEngineScale(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(cfg.System.TotalGPUs()), "gpus")
+			b.ReportMetric(float64(edges), "edges")
 		})
 	}
+}
+
+// censusEdges builds the plan of cfg in the mode and returns the
+// dependency edges it wires (sim.Engine.Census), which the scale
+// benchmarks report beside ns/op: a committed FSDP plan wires no edge
+// into or out of a ghost rank, so a wiring regression shows as edges.
+func censusEdges(b *testing.B, cfg core.Config, mode exec.Mode) int {
+	b.Helper()
+	plan, err := core.BuildPlan(cfg, mode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan.Engine.Census().Edges
 }
 
 // BenchmarkEngineScaleSequential is BenchmarkEngineScale's sequential
@@ -362,6 +377,7 @@ func BenchmarkEngineScaleSequential(b *testing.B) {
 				Iterations:  1,
 				Warmup:      0,
 			}
+			edges := censusEdges(b, cfg, exec.Sequential)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -370,6 +386,7 @@ func BenchmarkEngineScaleSequential(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(cfg.System.TotalGPUs()), "gpus")
+			b.ReportMetric(float64(edges), "edges")
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"overlapsim/internal/core"
@@ -79,19 +80,22 @@ func runDigest(t *testing.T, plan *exec.Plan) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// requireDeclaredMatchesOracle holds a declared FSDP plan to the
-// detector: an identically built plan, its mirrors cleared, must detect
-// the declared classes and record the same mirror on every task; and
-// the declared collapse must reproduce that plan's full run bit for bit
-// (schedule, power telemetry and measurements). Each plan's measurement
-// must also equal the full extraction (requireMeasurementMatchesOracle).
-func requireDeclaredMatchesOracle(t *testing.T, build func() (*exec.Plan, error)) {
+// requireDeclaredMatchesOracle holds a committed FSDP plan to the
+// detector and to the full run. build(false) makes the committed plan
+// and build(true) the FullGraph reference, which wires every edge: its
+// mirrors cleared, the reference must detect the declared classes and
+// record the same mirror on every task; and the committed plan's
+// collapse must reproduce the reference's full run bit for bit
+// (schedule with names, power telemetry and measurements). Each plan's
+// measurement must also equal the full extraction
+// (requireMeasurementMatchesOracle).
+func requireDeclaredMatchesOracle(t *testing.T, build func(full bool) (*exec.Plan, error)) {
 	t.Helper()
-	declared, err := build()
+	declared, err := build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := build()
+	oracle, err := build(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +125,14 @@ func requireDeclaredMatchesOracle(t *testing.T, build func() (*exec.Plan, error)
 		}
 	}
 
-	oracle.NoCollapse = true
 	if a, b := runDigest(t, declared), runDigest(t, oracle); a != b {
 		t.Fatalf("declared collapse diverged from the full run: %s vs %s", a, b)
 	}
 	if declared.EngineStats().GhostTasks == 0 {
 		t.Fatal("declared plan did not collapse")
+	}
+	if ghosts := oracle.EngineStats().GhostTasks; ghosts != 0 {
+		t.Fatalf("FullGraph plan ghosted %d tasks", ghosts)
 	}
 	got, err := declared.MeasuredIterations()
 	if err != nil {
@@ -143,10 +149,21 @@ func requireDeclaredMatchesOracle(t *testing.T, build func() (*exec.Plan, error)
 	requireMeasurementMatchesOracle(t, oracle)
 }
 
+// buildFSDP returns the build function the differential helpers take:
+// the committed plan of cfg, or its FullGraph reference.
+func buildFSDP(cfg core.Config, mode exec.Mode) func(full bool) (*exec.Plan, error) {
+	return func(full bool) (*exec.Plan, error) {
+		if full {
+			return core.BuildFullGraph(cfg, mode)
+		}
+		return core.BuildPlan(cfg, mode)
+	}
+}
+
 // TestFSDPDeclaredMatchesDetector: on every FSDP shape the paper, the
 // goldens and the benchmark run, in both modes, the declared partition
-// and mirrors equal the detector's and the declared collapse equals the
-// full run.
+// and mirrors equal the detector's on the full graph, and the committed
+// plan's collapse equals the full graph's full run.
 func TestFSDPDeclaredMatchesDetector(t *testing.T) {
 	for _, cfg := range declaredFSDPConfigs(t) {
 		for _, mode := range []exec.Mode{exec.Overlapped, exec.Sequential} {
@@ -154,8 +171,41 @@ func TestFSDPDeclaredMatchesDetector(t *testing.T) {
 				continue // infeasible (OOM) points build no plan
 			}
 			t.Run(goldenLabel(cfg)+"/"+mode.String(), func(t *testing.T) {
-				requireDeclaredMatchesOracle(t, func() (*exec.Plan, error) { return core.BuildPlan(cfg, mode) })
+				requireDeclaredMatchesOracle(t, buildFSDP(cfg, mode))
 			})
+		}
+	}
+}
+
+// TestCommittedCensus pins what the 512-rank core-scale FSDP plan wires
+// in each mode. The committed build makes every task and stream the full
+// graph makes, but only the edges the collapse leaves: none into or out
+// of the 510 ghost ranks.
+func TestCommittedCensus(t *testing.T) {
+	cfg := coreScaleFSDP()
+	cases := []struct {
+		mode                exec.Mode
+		streams, edges, all int
+	}{
+		{exec.Overlapped, 514, 692, 177152},
+		{exec.Sequential, 660, 1018, 260608},
+	}
+	for _, tc := range cases {
+		committed, err := core.BuildPlan(cfg, tc.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := core.BuildFullGraph(cfg, tc.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Census{Tasks: 53396, Edges: tc.edges, Streams: tc.streams}
+		if got := committed.Engine.Census(); got != want {
+			t.Errorf("%v committed census %+v, want %+v", tc.mode, got, want)
+		}
+		want.Edges = tc.all
+		if got := full.Engine.Census(); got != want {
+			t.Errorf("%v full-graph census %+v, want %+v", tc.mode, got, want)
 		}
 	}
 }
@@ -177,9 +227,10 @@ func TestOnlyFSDPDeclares(t *testing.T) {
 	}
 }
 
-// TestSymmetryClassesKeepsDeclaredResult: the detector rewrites mirrors
-// as a side effect; called on a declared FSDP plan before it runs, it
-// must leave the declared collapse bit-identical.
+// TestSymmetryClassesKeepsDeclaredResult: on a committed FSDP plan
+// SymmetryClasses returns the declared partition without running the
+// detector, which has no ghost edges to pair, so called before the plan
+// runs it must leave the collapse bit-identical.
 func TestSymmetryClassesKeepsDeclaredResult(t *testing.T) {
 	cfg := symTestConfig("fsdp")
 	for _, mode := range []exec.Mode{exec.Overlapped, exec.Sequential} {
@@ -191,9 +242,8 @@ func TestSymmetryClassesKeepsDeclaredResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probed.SymmetryClasses()
-		if probed.DeclaredClasses() == nil {
-			t.Fatal("detection broke the declaration")
+		if got, want := probed.SymmetryClasses(), probed.DeclaredClasses(); want == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: SymmetryClasses %v, declared %v", mode, got, want)
 		}
 		if a, b := runDigest(t, plain), runDigest(t, probed); a != b {
 			t.Fatalf("%v: SymmetryClasses changed the result: %s vs %s", mode, a, b)
@@ -204,11 +254,13 @@ func TestSymmetryClassesKeepsDeclaredResult(t *testing.T) {
 	}
 }
 
-// FuzzFSDPDeclared holds the declaration to the detector over FSDP
-// shapes the grids do not reach: 3–8 ranks per node on 1–3 nodes, 1–6
-// layers, 1–3 accumulation steps, prefetch depth 1–4, either mode, with
-// a warm-up iteration so the iteration barrier is built too. It also
-// holds the ledger collapse to Collapse on each shape.
+// FuzzFSDPDeclared holds the committed build to the full graph over
+// FSDP shapes the grids do not reach: 3–8 ranks per node on 1–3 nodes,
+// 1–6 layers, 1–3 accumulation steps, prefetch depth 1–4, either mode,
+// with a warm-up iteration so the iteration barrier is built too. On
+// each shape the detector must confirm the declaration on the full
+// graph, the committed collapse must equal the full run, and the ledger
+// collapse must leave the engine as Collapse leaves the full graph.
 func FuzzFSDPDeclared(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(3), uint8(0), uint8(1), false)
 	f.Add(uint8(5), uint8(1), uint8(0), uint8(1), uint8(0), true)
@@ -221,7 +273,7 @@ func FuzzFSDPDeclared(f *testing.F) {
 		if sequential {
 			mode = exec.Sequential
 		}
-		build := func() (*exec.Plan, error) {
+		build := func(full bool) (*exec.Plan, error) {
 			cl, err := gpu.New(gpu.Config{System: hw.NewMultiNode(hw.H100(), ranks, n)})
 			if err != nil {
 				return nil, err
@@ -229,7 +281,7 @@ func FuzzFSDPDeclared(f *testing.F) {
 			return fsdp.Build(cl, strategy.Params{
 				Model: m, Batch: ranks * n, Format: precision.FP16, MatrixUnits: true, Checkpoint: true,
 				GradAccumSteps: 1 + int(accum)%3, PrefetchDepth: 1 + int(prefetch)%4,
-				Iterations: 1, Warmup: 1, Mode: mode,
+				Iterations: 1, Warmup: 1, Mode: mode, FullGraph: full,
 			})
 		}
 		requireDeclaredMatchesOracle(t, build)
@@ -247,17 +299,21 @@ func taskField(name string) []int {
 }
 
 var (
-	fieldSt, fieldDeps, fieldRemaining = taskField("st"), taskField("deps"), taskField("remaining")
-	fieldGhost, fieldSuccs, fieldSeq   = taskField("ghost"), taskField("succs"), taskField("seq")
+	fieldSt, fieldRemaining = taskField("st"), taskField("remaining")
+	fieldGhost, fieldSuccs  = taskField("ghost"), taskField("succs")
+	fieldSeq                = taskField("seq")
 )
 
 // taskState is what a collapse writes on a task: its lifecycle state,
-// in-degree, residual work (as bits), ghost flag and successor list (as
+// residual work (as bits) and ghost flag, and, on a task that is not a
+// ghost, the distinct successors that are not ghosts (as sorted
 // creation indices). No exported accessor shows the engine's
-// bookkeeping before a run, so it is read through reflect.
+// bookkeeping before a run, so it is read through reflect. Edges into
+// ghosts are never walked, and an edge repeated from one task is
+// released at one instant, so neither shows in a schedule; the full
+// graph holds both and a committed build neither.
 type taskState struct {
 	st        uint64
-	deps      int64
 	remaining uint64
 	ghost     bool
 	succs     []int64
@@ -267,37 +323,43 @@ func stateOf(task *sim.Task) taskState {
 	v := reflect.ValueOf(task).Elem()
 	st := taskState{
 		st:        v.FieldByIndex(fieldSt).Uint(),
-		deps:      v.FieldByIndex(fieldDeps).Int(),
 		remaining: math.Float64bits(v.FieldByIndex(fieldRemaining).Float()),
 		ghost:     v.FieldByIndex(fieldGhost).Bool(),
 	}
+	if st.ghost {
+		return st
+	}
 	succs := v.FieldByIndex(fieldSuccs)
 	for i := 0; i < succs.Len(); i++ {
-		st.succs = append(st.succs, succs.Index(i).Elem().FieldByIndex(fieldSeq).Int())
+		s := succs.Index(i).Elem()
+		if !s.FieldByIndex(fieldGhost).Bool() {
+			st.succs = append(st.succs, s.FieldByIndex(fieldSeq).Int())
+		}
 	}
+	slices.Sort(st.succs)
+	st.succs = slices.Compact(st.succs)
 	return st
 }
 
-// requireLedgerMatchesCollapse holds the declared collapse to the
-// generic one: of two identical builds, one collapses its declared
-// classes through the ghost ledger and the other through Collapse's
-// creation-order passes. Every task's state, in-degree, residual work,
-// ghost flag and successor list — the mirrors' included — and the
-// engine stats must agree bit for bit, before the run and after it, and
-// so must every task's times.
-func requireLedgerMatchesCollapse(t *testing.T, build func() (*exec.Plan, error)) {
+// requireLedgerMatchesCollapse holds the ledger collapse of a committed
+// build (build(false)) to Collapse's passes over the FullGraph build
+// (build(true)) of the same plan: every task's state, residual work and
+// ghost flag, every live task's distinct live successors, and the engine
+// stats must agree bit for bit, before the run and after it, and so
+// must every task's times.
+func requireLedgerMatchesCollapse(t *testing.T, build func(full bool) (*exec.Plan, error)) {
 	t.Helper()
-	ledger, err := build()
+	ledger, err := build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic, err := build()
+	generic, err := build(true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	classes := ledger.DeclaredClasses()
-	if classes == nil || !reflect.DeepEqual(classes, generic.DeclaredClasses()) {
-		t.Fatal("builds declared different classes, or none")
+	if classes == nil {
+		t.Fatal("the committed build declared no classes")
 	}
 	var class sim.Class
 	for _, c := range classes {
@@ -340,8 +402,8 @@ func requireLedgerMatchesCollapse(t *testing.T, build func() (*exec.Plan, error)
 }
 
 // TestLedgerMatchesCollapse: on every FSDP golden config and the
-// core-scale shape, in both modes, the ledger collapse leaves the engine
-// as Collapse does.
+// core-scale shape, in both modes, the ledger collapse of the committed
+// build leaves the engine as Collapse leaves the full graph.
 func TestLedgerMatchesCollapse(t *testing.T) {
 	for _, cfg := range append(onlyFSDP(goldenConfigs()), coreScaleFSDP()) {
 		for _, mode := range []exec.Mode{exec.Overlapped, exec.Sequential} {
@@ -349,7 +411,7 @@ func TestLedgerMatchesCollapse(t *testing.T) {
 				continue // infeasible (OOM) points build no plan
 			}
 			t.Run(goldenLabel(cfg)+"/"+mode.String(), func(t *testing.T) {
-				requireLedgerMatchesCollapse(t, func() (*exec.Plan, error) { return core.BuildPlan(cfg, mode) })
+				requireLedgerMatchesCollapse(t, buildFSDP(cfg, mode))
 			})
 		}
 	}

@@ -278,6 +278,23 @@ type Result struct {
 // trace tooling) build here and run the plan themselves; RunMode is the
 // measuring wrapper.
 func BuildPlan(cfg Config, mode exec.Mode) (*exec.Plan, error) {
+	return buildPlan(cfg, cfg.params(mode))
+}
+
+// BuildFullGraph is BuildPlan with strategy.Params.FullGraph set: the
+// plan wires every rank's edges and simulates every rank. It is the
+// reference the differential tests hold a collapse to; no Config field
+// reaches it, so no fingerprint or cached result depends on it.
+func BuildFullGraph(cfg Config, mode exec.Mode) (*exec.Plan, error) {
+	p := cfg.params(mode)
+	p.FullGraph = true
+	return buildPlan(cfg, p)
+}
+
+// buildPlan builds the plan of the strategy parameters p on a fresh
+// cluster of cfg.
+func buildPlan(cfg Config, p strategy.Params) (*exec.Plan, error) {
+	mode := p.Mode
 	s, err := strategy.Lookup(string(cfg.Parallelism.Canonical()))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -292,7 +309,7 @@ func BuildPlan(cfg Config, mode exec.Mode) (*exec.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Build(cl, cfg.params(mode))
+	return s.Build(cl, p)
 }
 
 // RunMode executes the experiment in a single mode on a fresh cluster,

@@ -82,11 +82,11 @@ func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 	// Per iteration: L forward + L backward layers and the head pair of n
 	// computes each, at most L+1 gradient buckets, and the optimizer.
 	estimate := (p.Warmup + p.Iterations) * (2*L*n + 3*n + L + 2)
-	b := &builder{Builder: exec.NewBuilder(cl, p.Mode, estimate), cfg: p, n: n, local: local}
+	b := &builder{Builder: p.NewBuilder(cl, estimate), cfg: p, n: n, local: local}
 	if !b.Sequential() {
 		b.commS = b.Eng.NewStream("comm.allreduce", 0)
 	}
-	return b.Plan(p.Warmup, p.Iterations, b.buildIteration), nil
+	return b.Plan(p.Warmup, p.Iterations, b.buildIteration)
 }
 
 type builder struct {

@@ -41,15 +41,28 @@ type Op struct {
 // and every stream through calls that are symmetric by definition:
 // Compute fan-outs over every device, Collective ordered over every
 // device, the sequential-mode Chain, and the Pairwise and After edge
-// helpers. Each such call tallies what it made; Plan hands the tally to
-// the plan, whose RunContext collapses the declared classes only while
-// the engine's Census still equals it (see Plan.DeclaredClasses). The
-// same calls keep the engine's ghost ledger: each full fan-out records
-// its replicas' range (sim.Engine.Replicate), and each edge into a task
-// off the replicas is noted (sim.Engine.NoteEdges), so the collapse
-// needs no pass over the tasks. Collective checks each collective
-// against the declared class as it is made, as the detector's classes
-// are checked after detection.
+// helpers. Each such call tallies what it made. Each full fan-out
+// records its replicas' range in the engine's ghost ledger
+// (sim.Engine.Replicate), and Collective checks each collective against
+// the declared class as it is made, as the detector's classes are
+// checked after detection.
+//
+// On a deterministic cluster the declaration is a commitment: the
+// builder wires the graph the collapse would leave. A ghost is a replica
+// task on a device other than the representative. No edge runs into a
+// ghost, and an edge out of one is made from its mirror instead, once,
+// and not at all when the mirror already gates the task
+// (sim.Task.AfterMirror, Collapse's transfer rule); the chain makes no
+// edge on a ghost device's behalf. Ghost tasks and their streams are
+// still made, so a plan's tasks, streams and engine stats are those the
+// full graph's collapse reports. The plan can only run collapsed,
+// through the ledger (sim.Engine.CollapseDeclared), so whatever would
+// break the declaration is an error Plan returns, and RunContext too
+// when the engine changed after Plan: a census of the engine (tasks,
+// dependency edges, completion callbacks and streams) that differs from
+// the builder's tally, a collective the declared class vetoes, or a
+// call that is not symmetric leaving out an edge. A jittered cluster,
+// whose ranks run apart, and a FullGraph build wire every edge.
 type Builder struct {
 	// Eng is the plan's engine.
 	Eng *sim.Engine
@@ -74,15 +87,19 @@ type Builder struct {
 	chain   *Chain        // sequential mode only
 	prep    *collective.Preparer
 	buf     []byte      // name assembly, reused
+	kept    []*sim.Task // After's tasks that get edges, reused
 	colls   []*sim.Task // every Collective task, in creation order
 
 	// lo and hi bound the declared replica devices (none while lo ==
-	// hi); made tallies what the builder's symmetric calls made; vetoed
-	// is set by a collective that would give the representative
-	// contention its replicas never had.
-	lo, hi int
-	made   sim.Census
-	vetoed bool
+	// hi); full is set by FullGraph; committed is set while the builder
+	// wires the collapsed graph; made tallies what the builder's
+	// symmetric calls made; err is the first thing that broke a
+	// committed declaration.
+	lo, hi    int
+	full      bool
+	committed bool
+	made      sim.Census
+	err       error
 }
 
 // NewBuilder starts a plan on a fresh engine bound to the cluster,
@@ -134,17 +151,53 @@ func (b *Builder) Devices() []int { return b.devices }
 // DeclareReplicas declares devices [lo, hi) rank-symmetric: one class
 // whose members run the same graph, with lo its representative. From
 // then on every full Compute fan-out records, on each replica's task,
-// the representative's task as its mirror. A declaration made after the
-// first task is ignored: the calls before it were not checked against
-// it.
+// the representative's task as its mirror, and on a deterministic
+// cluster the builder commits to the declaration (see Builder). A
+// declaration made after the first task is ignored: the calls before it
+// were not checked against it.
 func (b *Builder) DeclareReplicas(lo, hi int) {
 	if len(b.Eng.Tasks()) == 0 {
 		b.lo, b.hi = max(lo, 0), min(hi, len(b.streams))
+		b.commit()
+	}
+}
+
+// FullGraph makes the builder wire every edge and its plan simulate
+// every rank, collapsing nothing, whatever it declares or the detector
+// would prove: the reference a collapse is held to. On a committed
+// build it must come before the first task, whose edges it would
+// otherwise miss; later, Plan returns an error.
+func (b *Builder) FullGraph() {
+	if b.committed && len(b.Eng.Tasks()) > 0 {
+		b.fail("FullGraph after the first task of a committed build")
+		return
+	}
+	b.full = true
+	b.commit()
+}
+
+// commit sets whether the builder wires the collapsed graph: when it
+// declared replicas on a deterministic cluster and was not asked for
+// the full graph. The chain then makes no edge for a ghost device.
+func (b *Builder) commit() {
+	b.committed = b.declared() && !b.full && b.cl.Deterministic()
+	if b.chain != nil {
+		b.chain.skipLo, b.chain.skipHi = 0, 0
+		if b.committed {
+			b.chain.skipLo, b.chain.skipHi = b.lo+1, b.hi
+		}
+	}
+}
+
+// fail records the first reason a committed declaration broke.
+func (b *Builder) fail(format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf("%w: %s", ErrAsymmetric, fmt.Sprintf(format, args...))
 	}
 }
 
 // NewStream creates a stream on the device. A stream on a declared
-// replica is not tallied, so it sends the plan to DetectClasses.
+// replica is not tallied, so it breaks the census.
 func (b *Builder) NewStream(name string, device int) *sim.Stream {
 	if !b.isReplica(device) {
 		b.made.Streams++
@@ -156,20 +209,28 @@ func (b *Builder) NewStream(name string, device int) *sim.Stream {
 // iteration index, and groups each call's tasks as one iteration of the
 // returned plan. The plan keeps the collective tasks the builder created,
 // which is what lets it collapse, the compute streams, which with the
-// collectives are what it measures, and the declared replicas with the
-// tally of what the builder made (see Plan.RunContext).
-func (b *Builder) Plan(warmup, iters int, build func(it int)) *Plan {
+// collectives are what it measures, and, on a committed build, the
+// declared replicas with the tally of what the builder made (see
+// Plan.RunContext). A committed build whose declaration broke returns
+// an error wrapping ErrAsymmetric and no plan.
+func (b *Builder) Plan(warmup, iters int, build func(it int)) (*Plan, error) {
 	p := &Plan{Engine: b.Eng, Cluster: b.cl, Warmup: warmup}
 	for it := 0; it < warmup+iters; it++ {
 		start := len(b.Eng.Tasks())
 		build(it)
 		p.Iterations = append(p.Iterations, b.Eng.Tasks()[start:])
 	}
-	p.built, p.collectives, p.compute = true, b.colls, b.streams
-	if b.declared() && !b.vetoed {
-		p.replicas, p.census = b.devices[b.lo:b.hi], b.made
+	p.built, p.full, p.collectives, p.compute = true, b.full, b.colls, b.streams
+	if b.err != nil {
+		return nil, b.err
 	}
-	return p
+	if b.committed {
+		p.replicas, p.census = b.devices[b.lo:b.hi], b.made
+		if err := p.checkCensus(); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // Name returns prefix followed by the decimal index — the "fwd.l7"
@@ -182,8 +243,8 @@ func (b *Builder) Name(prefix string, idx int) string {
 
 // ComputeOn creates one compute task on the device's compute stream. In
 // sequential mode it is chain-ordered on the device. It is not a
-// symmetric call: the task it makes sends a declared plan to
-// DetectClasses.
+// symmetric call: the task it makes breaks the census of a committed
+// build.
 func (b *Builder) ComputeOn(name string, op Op, dev int) *sim.Task {
 	t, _ := b.computeOn(name, op, dev)
 	return t
@@ -195,13 +256,8 @@ func (b *Builder) computeOn(name string, op Op, dev int) (*sim.Task, int) {
 	if b.chain == nil {
 		return t, 0
 	}
-	if b.declared() && !b.isGhost(dev) {
-		// The chain edge's source is the device's last operation; were
-		// it a replica, the mirror would not duplicate the edge, and
-		// noting it voids the ledger.
-		b.Eng.NoteEdges(t, b.chain.Last(dev))
-	}
-	return t, b.chain.Order(t, dev)
+	edges, _ := b.chain.Order(t, dev)
+	return t, edges
 }
 
 // Compute creates one compute task per device in [lo, hi), named
@@ -241,10 +297,9 @@ func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
 //
 // A collective off the declared replicas is a symmetric call, in
 // sequential mode only when it is ordered over every device. A
-// collective that occupies part of the replicas, or sits on one, drops
+// collective that occupies part of the replicas, or sits on one, breaks
 // the declaration: its contention would fall on the representative and
-// not on every replica, so the plan goes to DetectClasses, whose classes
-// face the same check.
+// not on every replica. The detector's classes face the same check.
 func (b *Builder) Collective(name string, d collective.Desc, overlapped *sim.Stream, home int, orderDevices ...int) *sim.Task {
 	d.Name = name
 	d, work := b.prep.Prepare(d)
@@ -256,22 +311,18 @@ func (b *Builder) Collective(name string, d collective.Desc, overlapped *sim.Str
 		}
 	} else {
 		t = b.Eng.NewTask(name, sim.KindComm, work, d, b.Eng.NewStream("seqcomm."+name, home))
-		symmetric := b.offReplicas(t) && slices.Equal(orderDevices, b.devices)
-		if symmetric && b.declared() {
-			// Order gates t on each device's latest operation: the chain's
-			// record, one task per device.
-			b.Eng.NoteEdges(t, b.chain.last...)
-		}
-		edges := b.chain.Order(t, orderDevices...)
-		if symmetric {
+		edges, skipped := b.chain.Order(t, orderDevices...)
+		if b.offReplicas(t) && slices.Equal(orderDevices, b.devices) {
 			b.made.Tasks++
 			b.made.Streams++
 			b.made.Edges += edges
+		} else if b.committed && skipped > 0 {
+			b.fail("collective %q ordered over devices %v, not every device", name, orderDevices)
 		}
 	}
-	if b.declared() {
+	if b.committed {
 		if n := d.ParticipantsIn(b.lo, b.hi); !b.offReplicas(t) || n != 0 && n != b.hi-b.lo {
-			b.vetoed = true
+			b.fail("collective %q occupies part of the declared replicas", name)
 		}
 	}
 	b.colls = append(b.colls, t)
@@ -280,11 +331,14 @@ func (b *Builder) Collective(name string, d collective.Desc, overlapped *sim.Str
 
 // Order chain-orders t after the latest operation of each listed device
 // in sequential mode; overlapped mode leaves ordering to streams and
-// dependencies. It is not a symmetric call: an edge it makes sends a
-// declared plan to DetectClasses.
+// dependencies. It is not a symmetric call: an edge it makes breaks the
+// census of a committed build, and so does an edge it leaves out.
 func (b *Builder) Order(t *sim.Task, devices ...int) {
-	if b.chain != nil {
-		b.chain.Order(t, devices...)
+	if b.chain == nil {
+		return
+	}
+	if _, skipped := b.chain.Order(t, devices...); b.committed && skipped > 0 {
+		b.fail("Order of %q over devices %v", t.Name(), devices)
 	}
 }
 
@@ -292,15 +346,28 @@ func (b *Builder) Order(t *sim.Task, devices ...int) {
 // Over two full Compute fan-outs it is a symmetric call: every replica's
 // task waits for its own device's counterpart.
 func (b *Builder) Pairwise(ts, deps []*sim.Task) {
-	edges := 0
+	edges, altered := 0, 0
 	for i, t := range ts {
-		if deps[i] != nil {
-			t.After(deps[i])
-			edges++
+		d := deps[i]
+		if d == nil {
+			continue
 		}
+		if b.committed && (b.ghost(t) || b.ghost(d)) {
+			// wire's rule for one pair, inline: per-pair calls to wire
+			// cost a measurable share of a 512-rank build.
+			if !b.ghost(t) {
+				edges += t.AfterMirror(d)
+			}
+			altered++
+			continue
+		}
+		t.After(d)
+		edges++
 	}
-	if edges == 0 || b.fanout(ts) && b.fanout(deps) {
+	if edges+altered == 0 || b.fanout(ts) && b.fanout(deps) {
 		b.made.Edges += edges
+	} else if b.committed && altered > 0 {
+		b.fail("Pairwise on tasks that are not two full fan-outs")
 	}
 }
 
@@ -310,22 +377,63 @@ func (b *Builder) Pairwise(ts, deps []*sim.Task) {
 // Compute fan-out and every dep is off the replicas (every replica's task
 // waits for the same tasks).
 func (b *Builder) After(ts []*sim.Task, deps ...*sim.Task) {
-	edges := 0
-	for _, d := range deps {
-		if d != nil {
-			edges += d.Gates(ts)
-		}
+	edges, altered := b.wire(ts, deps...)
+	if b.offReplicas(ts...) || b.fanout(ts) && b.offReplicas(deps...) {
+		b.made.Edges += edges
+	} else if b.committed && altered > 0 {
+		b.fail("After on tasks that are neither off the replicas nor a full fan-out")
 	}
-	if b.offReplicas(ts...) {
-		for _, t := range ts {
-			if t != nil && b.declared() {
-				b.Eng.NoteEdges(t, deps...)
+}
+
+// wire makes every task of ts wait for every non-nil dep and returns the
+// edges it made and the edges it left out or made from a mirror instead;
+// a call that is not symmetric must leave none out, for the census
+// counts only what was made.
+// A build that is not committed wires them all. A committed build wires
+// what the collapse would leave: no edge into a ghost, and an edge out
+// of a ghost made from its mirror (sim.Task.AfterMirror). The deps that
+// are not ghosts are wired first, so an edge the mirror makes itself is
+// never doubled by one made for a ghost.
+func (b *Builder) wire(ts []*sim.Task, deps ...*sim.Task) (edges, altered int) {
+	if !b.committed {
+		for _, d := range deps {
+			if d != nil {
+				edges += d.Gates(ts)
 			}
 		}
-		b.made.Edges += edges
-	} else if b.fanout(ts) && b.offReplicas(deps...) {
-		b.made.Edges += edges
+		return edges, 0
 	}
+	kept, n := b.kept[:0], 0
+	for _, d := range deps {
+		if d != nil {
+			n++
+		}
+	}
+	for _, t := range ts {
+		if t == nil {
+			continue
+		}
+		if b.ghost(t) {
+			altered += n
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	for _, d := range deps {
+		if d != nil && !b.ghost(d) {
+			edges += d.Gates(kept)
+		}
+	}
+	for _, d := range deps {
+		if d != nil && b.ghost(d) {
+			for _, t := range kept {
+				edges += t.AfterMirror(d)
+			}
+			altered += len(kept)
+		}
+	}
+	b.kept = kept[:0]
+	return edges, altered
 }
 
 // declared reports whether the builder declared replicas.
@@ -337,6 +445,10 @@ func (b *Builder) isReplica(device int) bool { return device >= b.lo && device <
 // isGhost reports whether the device is a declared replica other than
 // the representative: one a collapse ghosts.
 func (b *Builder) isGhost(device int) bool { return device > b.lo && device < b.hi }
+
+// ghost reports whether t is a task a committed collapse ghosts: one on
+// a ghost device.
+func (b *Builder) ghost(t *sim.Task) bool { return b.isGhost(t.Streams()[0].Device()) }
 
 // offReplicas reports whether no stream of any of the (non-nil) tasks is
 // on a declared replica.

@@ -60,11 +60,12 @@ type Plan struct {
 	// Warmup is the number of leading iterations excluded from
 	// measurement.
 	Warmup int
-	// NoCollapse disables the symmetry fast path even when detection
-	// would prove it (differential tests, reference benchmarks).
-	NoCollapse bool
 
 	ran bool
+	// full is set on a plan its builder made with every edge to run
+	// every rank (Builder.FullGraph): the reference a collapse is held
+	// to.
+	full bool
 	// built is set by Builder.Plan, which also records collectives:
 	// every collective task of the plan, in creation order, and compute:
 	// each device's compute stream. Only a built plan collapses — the
@@ -74,10 +75,10 @@ type Plan struct {
 	built       bool
 	collectives []*sim.Task
 	compute     []*sim.Stream
-	// replicas are the devices the builder declared rank-symmetric, and
-	// census its tally of what it made through symmetric calls; nil
-	// replicas when it declared none or a collective vetoed the
-	// declaration (see DeclaredClasses).
+	// replicas are the devices a committed builder declared
+	// rank-symmetric, and census its tally of what it made through
+	// symmetric calls; nil replicas on a plan that wires every edge (see
+	// DeclaredClasses).
 	replicas []int
 	census   sim.Census
 	// alias maps every device to its class representative after a
@@ -100,30 +101,37 @@ func (p *Plan) Run() error {
 // takes the symmetry classes of its devices, simulates one
 // representative per class, and lets the ghost ranks report their
 // mirrors' timelines and, afterwards, telemetry — bit-identical to the
-// full simulation, O(classes) instead of O(ranks). The classes are the
-// builder's declaration when DeclaredClasses returns one (FSDP): no
-// detection pass, and the engine's ghost ledger collapses them without
-// a pass over the tasks (sim.Engine.CollapseDeclared), or Collapse's
-// passes when something voided the ledger. Otherwise DetectClasses
-// proves them (DDP, TP, pipeline, and a declared plan whose engine holds
-// something its builder's symmetric calls did not make), and the
-// collectives veto unsafe classes (mergeableClasses) before Collapse.
-// Collapse requires a deterministic rate model; jittered clusters always
-// run in full, and so does a plan not made by Builder.
+// full simulation, O(classes) instead of O(ranks). A committed plan
+// (FSDP on a deterministic cluster) was built as its declared classes
+// collapse, and the engine's ghost ledger collapses them without a pass
+// over the tasks (sim.Engine.CollapseDeclared). It has no other way to
+// run: if the engine's Census no longer equals its builder's tally, or
+// the ledger cannot collapse the class, RunContext returns an error
+// wrapping ErrAsymmetric and simulates nothing. A plan that wires every
+// edge (DDP, TP, pipeline) has its classes proved by DetectClasses, and
+// the collectives veto unsafe classes (mergeableClasses) before
+// Collapse. Collapse requires a deterministic rate model; jittered
+// clusters always run in full, and so do a plan not made by Builder and
+// a FullGraph plan.
 func (p *Plan) RunContext(ctx context.Context) error {
 	if p.ran {
 		return fmt.Errorf("exec: plan already ran")
 	}
 	p.ran = true
-	if p.built && !p.NoCollapse && (p.Cluster == nil || p.Cluster.Deterministic()) {
-		classes := p.DeclaredClasses()
-		ghosts, ok := 0, false
-		if classes != nil {
-			ghosts, ok = p.Engine.CollapseDeclared(sim.Class{Members: p.replicas})
+	if p.built && !p.full && (p.Cluster == nil || p.Cluster.Deterministic()) {
+		var classes []sim.Class
+		ghosts := 0
+		if p.replicas != nil {
+			if err := p.checkCensus(); err != nil {
+				return err
+			}
+			n, ok := p.Engine.CollapseDeclared(sim.Class{Members: p.replicas})
+			if !ok {
+				return fmt.Errorf("%w: the ghost ledger cannot collapse the declared replicas", ErrAsymmetric)
+			}
+			classes, ghosts = p.DeclaredClasses(), n
 		} else {
 			classes = p.mergeableClasses(p.Engine.DetectClasses(PayloadEq))
-		}
-		if !ok {
 			ghosts = p.Engine.Collapse(classes)
 		}
 		if ghosts > 0 {
@@ -138,6 +146,21 @@ func (p *Plan) RunContext(ctx context.Context) error {
 		p.Cluster.FinalizeAliases()
 	}
 	return err
+}
+
+// ErrAsymmetric is returned when a committed plan (see Builder) made or
+// holds something its declared rank symmetry does not allow. Its graph
+// lacks the edges into and out of the ghost ranks, so it can run only
+// collapsed, and the collapse would not be the full run.
+var ErrAsymmetric = errors.New("exec: declared replicas are not symmetric")
+
+// checkCensus fails when the engine holds something other than what the
+// committed builder's symmetric calls made.
+func (p *Plan) checkCensus() error {
+	if got := p.Engine.Census(); got != p.census {
+		return fmt.Errorf("%w: the engine holds %+v, the symmetric calls made %+v", ErrAsymmetric, got, p.census)
+	}
+	return nil
 }
 
 // ErrNotRun is returned when a plan's measurements are requested before
@@ -393,6 +416,12 @@ func iterationMeasurement(tl *trace.Timeline, alias []int) metrics.Iteration {
 // orders are generated from one legal global schedule.
 type Chain struct {
 	last []*sim.Task // latest operation per device index
+	// skipLo and skipHi bound the devices [skipLo, skipHi) whose edges
+	// the chain leaves out: a committed build's ghost devices. A ghost
+	// device's latest operation is either its mirror's counterpart or a
+	// task shared with the representative, so the edge the chain makes
+	// for the representative stands for it.
+	skipLo, skipHi int
 }
 
 // NewChain returns an empty chain.
@@ -400,11 +429,15 @@ func NewChain() *Chain { return &Chain{} }
 
 // Order makes t run after every previously ordered operation on each of
 // the listed devices, then records t as those devices' latest operation.
-// It returns the number of dependency edges it added.
-func (c *Chain) Order(t *sim.Task, devices ...int) int {
-	edges := 0
+// It returns the number of dependency edges it added and the number it
+// left out on skipped devices.
+func (c *Chain) Order(t *sim.Task, devices ...int) (edges, skipped int) {
 	for _, d := range devices {
 		if prev := c.Last(d); prev != nil && prev != t {
+			if d >= c.skipLo && d < c.skipHi {
+				skipped++
+				continue
+			}
 			t.After(prev)
 			edges++
 		}
@@ -415,7 +448,7 @@ func (c *Chain) Order(t *sim.Task, devices ...int) int {
 		}
 		c.last[d] = t
 	}
-	return edges
+	return edges, skipped
 }
 
 // Last returns the most recent operation ordered on the device, or nil.

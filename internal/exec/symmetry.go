@@ -84,30 +84,30 @@ func collectiveDescEq(a, b collective.Desc) bool {
 	return true
 }
 
-// SymmetryClasses runs the structural symmetry detector on the plan's
-// engine and returns the device partition. Valid only before the plan
-// has run (nil afterwards). Detection leaves every task's work and
-// dependencies as they are, but it writes the mirrors of the classes it
-// proves and voids the engine's ghost ledger, so a declared plan then
-// collapses through sim.Engine.Collapse instead of CollapseDeclared.
+// SymmetryClasses returns the device partition the plan's collapse
+// simulates, valid only before the plan has run (nil afterwards). On a
+// committed plan it is the declared partition (DeclaredClasses): the
+// plan wires no edge into or out of its ghost ranks, so the detector
+// would have nothing to pair them by, and nothing runs. On any other
+// plan it runs the structural symmetry detector on the plan's engine.
+// Detection leaves every task's work and dependencies as they are, but
+// it writes the mirrors of the classes it proves.
 func (p *Plan) SymmetryClasses() []sim.Class {
+	if p.replicas != nil {
+		return p.DeclaredClasses()
+	}
 	return p.Engine.DetectClasses(PayloadEq)
 }
 
-// DeclaredClasses returns the device partition the plan's builder
-// declared — every declared replica in one class, every other device
-// alone, in the order DetectClasses lists them — or nil when the builder
-// declared none, a collective vetoed the declaration (Builder.Collective)
-// or the guard fails. The guard is made only of counts:
-// the engine's Census (tasks, dependency edges, completion callbacks and
-// streams) must equal the builder's tally of what its symmetric calls
-// made. Everything tallied is on the engine, so any other task, edge,
-// callback or stream — a raw After, a stray ComputeOn or Order, a
-// partial fan-out, an extra stream on a replica, an OnDone — breaks the
-// equality, and the plan falls back to DetectClasses: slower, never
-// wrong.
+// DeclaredClasses returns the device partition a committed plan's
+// builder declared — every declared replica in one class, every other
+// device alone, in the order DetectClasses lists them — or nil when the
+// plan is not committed: its builder declared nothing, or it wires every
+// edge because its cluster is jittered or it was built as a FullGraph
+// reference (see Builder). Whether the engine still holds only what the
+// builder's symmetric calls made is RunContext's check.
 func (p *Plan) DeclaredClasses() []sim.Class {
-	if p.replicas == nil || p.Engine.Census() != p.census {
+	if p.replicas == nil {
 		return nil
 	}
 	lo, hi := p.replicas[0], p.replicas[len(p.replicas)-1]+1

@@ -64,13 +64,17 @@ func withDefaults(p strategy.Params) strategy.Params {
 // and form one class, while rank 0 stays alone because it hosts the
 // communication streams (in sequential mode the seqcomm.* streams).
 // Every task, edge and stream comes from a symmetric Builder call, so
-// the plan collapses without a detection pass.
+// the plan collapses without a detection pass. On a deterministic
+// cluster the builder commits to the declaration and wires no edge into
+// or out of the ghost ranks 2..n-1 (see exec.Builder); a build that
+// broke it would return exec.ErrAsymmetric. p.FullGraph builds the
+// reference that wires every edge and simulates every rank.
 func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 	b, err := newBuilder(cl, p)
 	if err != nil {
 		return nil, err
 	}
-	return b.Plan(b.cfg.Warmup, b.cfg.Iterations, b.buildIteration), nil
+	return b.Plan(b.cfg.Warmup, b.cfg.Iterations, b.buildIteration)
 }
 
 // newBuilder validates the configuration and starts the plan: the
@@ -101,7 +105,7 @@ func newBuilder(cl *gpu.Cluster, p strategy.Params) (*builder, error) {
 	// final step's L+1 reduce-scatters and the optimizer — sized so slab
 	// allocation covers the whole plan in one reservation.
 	estimate := (p.Warmup + p.Iterations) * (accum*(2*L*(n+1)+3*n+2) + L + 2 + n)
-	b := &builder{Builder: exec.NewBuilder(cl, p.Mode, estimate), cfg: p, n: n, local: local}
+	b := &builder{Builder: p.NewBuilder(cl, estimate), cfg: p, n: n, local: local}
 	b.DeclareReplicas(1, n)
 	if !b.Sequential() {
 		// Two communicator streams, as in PyTorch FSDP/DeepSpeed: one

@@ -147,9 +147,9 @@ func Build(cl *gpu.Cluster, cfg strategy.Params) (*exec.Plan, error) {
 	// Per iteration: per stage one forward and one backward per
 	// microbatch, the inter-stage transfers, and the optimizer.
 	estimate := (cfg.Warmup + cfg.Iterations) * (2*n*mbs + 2*(n-1)*mbs + n)
-	b := &builder{Builder: exec.NewBuilder(cl, cfg.Mode, estimate), cfg: cfg, n: n}
+	b := &builder{Builder: cfg.NewBuilder(cl, estimate), cfg: cfg, n: n}
 	b.prepare()
-	return b.Plan(cfg.Warmup, cfg.Iterations, b.buildIteration), nil
+	return b.Plan(cfg.Warmup, cfg.Iterations, b.buildIteration)
 }
 
 type builder struct {

@@ -91,7 +91,6 @@ type Task struct {
 	remaining float64
 	rate      float64
 	started   bool
-	dups      int32 // in-edges from replicas their mirrors duplicate (NoteEdges)
 	start     float64
 	end       float64
 

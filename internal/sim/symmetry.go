@@ -21,18 +21,18 @@ import (
 // A class and its mirrors come from one of two producers. A builder
 // whose ranks are symmetric by construction declares them: it writes
 // each fan-out's replica mirrors through Replicate, which also records
-// where the replicas sit in creation order, tallies through NoteEdges
-// the in-edges from replicas that their mirrors duplicate, and checks
-// through Census that the engine holds nothing it did not make through
-// its symmetric calls; FSDP plans do this. That ghost ledger lets
-// CollapseDeclared collapse the class in O(fan-outs + collectives)
-// without walking the tasks. DetectClasses proves symmetry structurally
-// instead, trusting no builder's word, one device at a time against the
-// representatives of the classes found so far: it serves the plans that
-// declare nothing (DDP, TP, pipeline, hand-assembled plans) and the
-// declared plans whose census check fails, its classes collapse through
-// Collapse's creation-order passes, and both are the oracle the tests
-// hold every declaration and every ledger collapse to.
+// where the replicas sit in creation order, wires no edge into a replica
+// and makes each edge out of one from its mirror (AfterMirror), and
+// checks through Census that the engine holds nothing it did not make
+// through its symmetric calls; FSDP plans on deterministic clusters do
+// this. That ghost ledger lets CollapseDeclared collapse the class in
+// O(fan-outs) without walking the tasks. DetectClasses proves symmetry
+// structurally instead, trusting no builder's word, one device at a
+// time against the representatives of the classes found so far: it
+// serves the plans that declare nothing (DDP, TP, pipeline,
+// hand-assembled plans), and its classes collapse through Collapse's
+// creation-order passes. Run on a plan that wires every edge, the two
+// are the oracle the tests hold every declaration to.
 //
 // Detection is conservative by construction. Any device the proof cannot
 // cover — multi-stream (rendezvous) tasks, completion callbacks, a
@@ -76,7 +76,9 @@ type Class struct {
 // result also records, on every task of a non-representative member,
 // which representative task mirrors it — Collapse consumes that mapping.
 // It overwrites any mirror a builder declared on those tasks, and so
-// voids the ghost ledger.
+// voids the ghost ledger. A declared plan that wires no edge into or out
+// of its replicas gives the detector nothing to pair them by; the
+// detector is for plans that wire every edge.
 //
 // The partition is the greedy first-match one: each mergeable device, in
 // device order, is verified against the representative of every earlier
@@ -250,7 +252,8 @@ devices:
 // in-degree is decremented at collapse time instead, and the entry the
 // mirror holds keeps it gated until the mirror — and so every member —
 // finishes. Only edges into successors the mirror does not gate yet are
-// appended. With no multi-member class Collapse makes no pass at all.
+// appended (the rule AfterMirror applies as a declaring builder wires).
+// With no multi-member class Collapse makes no pass at all.
 // CollapseDeclared reaches the same state from a builder's ledger
 // without these passes.
 //
@@ -377,17 +380,13 @@ func (t *Task) ghostify() {
 }
 
 // ledger is the ghost ledger of one declared class: where its replica
-// tasks sit in creation order, and which tasks have in-edges from them
-// that their mirrors duplicate (each such task keeps its count in
-// Task.dups). It is what lets CollapseDeclared reach Collapse's state
-// without walking the tasks. It holds one range per fan-out and one
-// entry per tallied successor, never a list of the replicas.
+// tasks sit in creation order. It is what lets CollapseDeclared reach
+// Collapse's state without walking the tasks. It holds one range per
+// fan-out, never a list of the replicas.
 type ledger struct {
 	spans []span
-	dups  []*Task
 	// void is set once the ledger can no longer stand for the class: a
-	// mirror was written outside Replicate, or NoteEdges met an edge
-	// from a replica whose mirror did not gate the same successor.
+	// mirror was written outside Replicate.
 	void bool
 }
 
@@ -411,57 +410,40 @@ func (e *Engine) Replicate(rep *Task, replicas []*Task) {
 	}
 }
 
-// NoteEdges records in the ghost ledger that succ, a task without a
-// mirror, gained an in-edge from each non-nil task of deps, all in one
-// call. An edge from a replica — a task with a mirror — is duplicated by
-// its mirror's edge when the mirror is among deps too: CollapseDeclared
-// takes it off succ's in-degree, as Collapse's transfer pass would. An
-// edge from a replica whose mirror is not among deps would need the
-// transfer to add an entry to the mirror's successors, so it voids the
-// ledger. A builder that declares its symmetry calls NoteEdges for every
-// edge its symmetric calls make into a task no collapse would ghost.
-func (e *Engine) NoteEdges(succ *Task, deps ...*Task) {
-	l := &e.ledger
-	if l.void || succ.mirror != nil {
-		return
+// AfterMirror makes t wait for g's mirror where it would wait for g:
+// the edge Collapse's transfer leaves in place of an edge out of g once
+// it ghosts g. It adds nothing when the mirror already gates t, and it
+// wires g itself when g has no mirror. It returns the number of edges
+// added. A builder that declares its ranks symmetric wires an edge out
+// of a future ghost this way, so the collapse has no edge to transfer.
+func (t *Task) AfterMirror(g *Task) int {
+	m := g.mirror
+	if m == nil {
+		m = g
+	} else if slices.Contains(m.succs, t) {
+		return 0
 	}
-	n := 0
-	var m *Task // the last mirror found among deps
-	for _, d := range deps {
-		if d == nil || d.mirror == nil {
-			continue
-		}
-		if d.mirror != m {
-			if !slices.Contains(deps, d.mirror) {
-				l.void = true
-				return
-			}
-			m = d.mirror
-		}
-		n++
+	if m.st == stateDone {
+		return 0
 	}
-	if n > 0 {
-		if succ.dups == 0 {
-			l.dups = append(l.dups, succ)
-		}
-		succ.dups += int32(n)
-	}
+	t.After(m)
+	return 1
 }
 
 // CollapseDeclared collapses a declared class through the ghost ledger
 // and returns the number of ghost tasks, leaving the engine in the state
-// Collapse would: the ledger's replicas become ghosts and each tallied
-// successor loses the in-edges their mirrors duplicate. It reads
-// neither the tasks outside the ledger nor any successor list, so it
-// costs O(fan-outs + tallied successors) plus a write per ghost.
+// Collapse would: the ledger's replicas become ghosts. It reads neither
+// the tasks outside the ledger nor any successor list, so it costs
+// O(fan-outs) plus a write per ghost.
 //
 // The caller vouches that the ledger's ranges hold every task of the
-// class's members but the first and that NoteEdges saw every edge out
-// of them into a task outside them; exec.Plan holds its builder to that
-// with a census. CollapseDeclared reports false and changes nothing when
-// the ledger cannot stand for the class: it is void, a range's mirror is
-// not on the class representative, or the engine has run or collapsed.
-// The caller then calls Collapse.
+// class's members but the first, and that no edge runs into one of them
+// or out of one: every edge out of a replica was made from its mirror
+// instead (Task.AfterMirror), so there is nothing to transfer. exec.Plan
+// holds its builder to that with a census. CollapseDeclared reports
+// false and changes nothing when the ledger cannot stand for the class:
+// it is void, a range's mirror is not on the class representative, or
+// the engine has run or collapsed.
 func (e *Engine) CollapseDeclared(c Class) (int, bool) {
 	l := &e.ledger
 	if l.void || e.ran || e.stCollapsed > 0 {
@@ -481,9 +463,6 @@ func (e *Engine) CollapseDeclared(c Class) (int, bool) {
 			t.ghostify()
 		}
 		ghosts += int(s.to - s.from)
-	}
-	for _, t := range l.dups {
-		t.deps -= int(t.dups)
 	}
 	e.stCollapsed++
 	e.stGhosts += ghosts

@@ -466,10 +466,12 @@ func TestGatesMatchesAfter(t *testing.T) {
 
 // declaredDAG is symDAG's shape built the way a declaring builder builds
 // it: slot by slot, each slot fanned out over the ranks with rank 0's
-// task the mirror of the others' (Replicate), and the sink's in-edges
-// from the last slot noted (NoteEdges). Returns the engine and the
+// task the mirror of the others' (Replicate), and a sink waiting for
+// every rank's last slot. A committed build wires what the collapse
+// leaves: no edge into a replica, and the sink's edges from replicas
+// made from their mirror (AfterMirror). Returns the engine and the
 // fan-outs by [slot][rank].
-func declaredDAG(ranks, slots int) (*Engine, [][]*Task) {
+func declaredDAG(ranks, slots int, committed bool) (*Engine, [][]*Task) {
 	e := NewEngine(PlatformFunc(flatRate))
 	shared := e.NewStream("shared", ranks)
 	src := e.NewTask("src", KindCompute, 1, 100, shared)
@@ -482,38 +484,46 @@ func declaredDAG(ranks, slots int) (*Engine, [][]*Task) {
 		fans[i] = make([]*Task, ranks)
 		for r := range fans[i] {
 			t := e.NewTask(fmt.Sprintf("r%d.%d", r, i), KindCompute, float64(i%5)+0.5, i, streams[r])
+			fans[i][r] = t
+			if committed && r > 0 {
+				continue
+			}
 			if i == 0 {
 				t.After(src)
 			} else {
 				t.After(fans[i-1][r])
 			}
-			fans[i][r] = t
 		}
 		e.Replicate(fans[i][0], fans[i][1:])
 	}
 	sink := e.NewTask("sink", KindCompute, 1, 101, shared)
-	last := fans[slots-1]
-	sink.After(last...)
-	e.NoteEdges(sink, last...)
+	for _, d := range fans[slots-1] {
+		if committed {
+			sink.AfterMirror(d)
+		} else {
+			sink.After(d)
+		}
+	}
 	return e, fans
 }
 
-// TestCollapseDeclaredMatchesCollapse: the ledger collapse leaves every
-// task's state, in-degree, residual work, ghost flag and successors as
-// Collapse does, records one range per fan-out, and runs the full
-// schedule bit for bit.
+// TestCollapseDeclaredMatchesCollapse: the ledger collapse of a
+// committed build leaves every task's state, residual work and ghost
+// flag, and every live task's in-degree and live successors, as
+// Collapse leaves the build that wires every edge; it records one range
+// per fan-out, and runs the full schedule bit for bit.
 func TestCollapseDeclaredMatchesCollapse(t *testing.T) {
 	const ranks, slots = 5, 4
 	classes := []Class{{Members: []int{0, 1, 2, 3, 4}}, {Members: []int{ranks}}}
-	full, _ := declaredDAG(ranks, slots)
+	full, _ := declaredDAG(ranks, slots, false)
 	if err := full.Run(); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := declaredDAG(ranks, slots)
-	if len(e.ledger.spans) != slots || len(e.ledger.dups) != 1 || e.ledger.dups[0].dups != ranks-1 {
-		t.Fatalf("ledger holds %d ranges and %d tallies, want %d and 1", len(e.ledger.spans), len(e.ledger.dups), slots)
+	e, _ := declaredDAG(ranks, slots, true)
+	if len(e.ledger.spans) != slots {
+		t.Fatalf("ledger holds %d ranges, want %d", len(e.ledger.spans), slots)
 	}
-	g, _ := declaredDAG(ranks, slots)
+	g, _ := declaredDAG(ranks, slots, false)
 	n, ok := e.CollapseDeclared(classes[0])
 	if !ok || n != (ranks-1)*slots {
 		t.Fatalf("CollapseDeclared = %d, %v; want %d, true", n, ok, (ranks-1)*slots)
@@ -521,22 +531,71 @@ func TestCollapseDeclaredMatchesCollapse(t *testing.T) {
 	if m := g.Collapse(classes); m != n {
 		t.Fatalf("Collapse ghosted %d, the ledger %d", m, n)
 	}
+	// live lists a task's successors that are not ghosts: an edge into a
+	// ghost is never walked, and a committed build does not wire it.
+	live := func(task *Task) []int {
+		var out []int
+		for _, s := range task.succs {
+			if !s.ghost {
+				out = append(out, s.seq)
+			}
+		}
+		return out
+	}
 	for i, a := range e.tasks {
 		b := g.tasks[i]
-		if a.st != b.st || a.deps != b.deps || a.ghost != b.ghost ||
-			math.Float64bits(a.remaining) != math.Float64bits(b.remaining) ||
-			len(a.succs) != len(b.succs) {
-			t.Fatalf("task %s: ledger %v/%d/%v/%g/%d, Collapse %v/%d/%v/%g/%d", a.name,
-				a.st, a.deps, a.ghost, a.remaining, len(a.succs), b.st, b.deps, b.ghost, b.remaining, len(b.succs))
+		if a.st != b.st || a.ghost != b.ghost ||
+			math.Float64bits(a.remaining) != math.Float64bits(b.remaining) {
+			t.Fatalf("task %s: ledger %v/%v/%g, Collapse %v/%v/%g", a.name,
+				a.st, a.ghost, a.remaining, b.st, b.ghost, b.remaining)
 		}
-		for j := range a.succs {
-			if a.succs[j].seq != b.succs[j].seq {
-				t.Fatalf("task %s successor %d: %s vs %s", a.name, j, a.succs[j].name, b.succs[j].name)
+		if a.ghost {
+			if a.deps != 0 || len(a.succs) != 0 {
+				t.Fatalf("ghost %s has %d in-edges and %d successors", a.name, a.deps, len(a.succs))
 			}
+			continue
+		}
+		if a.deps != b.deps || !slices.Equal(live(a), live(b)) {
+			t.Fatalf("task %s: ledger %d deps %v, Collapse %d deps %v", a.name, a.deps, live(a), b.deps, live(b))
 		}
 	}
 	if e.Stats() != g.Stats() {
 		t.Fatalf("stats diverged:\n%+v\n%+v", e.Stats(), g.Stats())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, full, e)
+}
+
+// TestAfterMirror: an edge out of a replica is made from its mirror,
+// once, and not at all when the mirror already gates the task; the
+// rewired task still waits for the mirror, so the collapsed run keeps
+// the full run's schedule.
+func TestAfterMirror(t *testing.T) {
+	const ranks, slots = 3, 2
+	build := func(committed bool) (*Engine, *Task) {
+		e, fans := declaredDAG(ranks, slots, committed)
+		solo := e.NewTask("solo", KindCompute, 2, 7, e.NewStream("solo", ranks+1))
+		for _, d := range fans[0][1:] { // replicas only: the mirror is not among them
+			if committed {
+				solo.AfterMirror(d)
+			} else {
+				solo.After(d)
+			}
+		}
+		return e, solo
+	}
+	full, _ := build(false)
+	if err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e, solo := build(true)
+	if solo.deps != 1 {
+		t.Fatalf("solo waits on %d edges, want 1 from the mirror", solo.deps)
+	}
+	if n, ok := e.CollapseDeclared(Class{Members: []int{0, 1, 2}}); !ok || n != (ranks-1)*slots {
+		t.Fatalf("CollapseDeclared = %d, %v", n, ok)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -561,23 +620,18 @@ func TestLedgerVoids(t *testing.T) {
 		{"mirrors rewritten by DetectClasses", func(e *Engine, fans [][]*Task) {
 			e.DetectClasses(intEq)
 		}, classes[0]},
-		{"edge from a replica its mirror does not duplicate", func(e *Engine, fans [][]*Task) {
-			solo := e.NewTask("solo", KindCompute, 2, 7, e.NewStream("solo", ranks+1))
-			solo.After(fans[1][2])
-			e.NoteEdges(solo, fans[1][2])
-		}, classes[0]},
 		{"mirrors off the representative", nil, Class{Members: []int{1, 0, 2, 3}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			full, fans := declaredDAG(ranks, slots)
+			full, fans := declaredDAG(ranks, slots, false)
 			if tc.mutate != nil {
 				tc.mutate(full, fans)
 			}
 			if err := full.Run(); err != nil {
 				t.Fatal(err)
 			}
-			e, fans := declaredDAG(ranks, slots)
+			e, fans := declaredDAG(ranks, slots, false)
 			if tc.mutate != nil {
 				tc.mutate(e, fans)
 			}
@@ -596,7 +650,7 @@ func TestLedgerVoids(t *testing.T) {
 		})
 	}
 	t.Run("after a run", func(t *testing.T) {
-		e, _ := declaredDAG(ranks, slots)
+		e, _ := declaredDAG(ranks, slots, true)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -69,6 +69,11 @@ type Params struct {
 	Mode exec.Mode
 	// SkipMemoryCheck disables the HBM-capacity feasibility gate.
 	SkipMemoryCheck bool
+	// FullGraph builds the plan with every rank's edges and runs every
+	// rank, collapsing nothing (exec.Builder.FullGraph): the reference
+	// the differential tests hold a collapse to. No core.Config field
+	// maps to it, so it reaches no fingerprint or cached result.
+	FullGraph bool
 }
 
 // WithCommonDefaults resolves the parameter defaults every strategy
@@ -89,6 +94,17 @@ func (p Params) WithCommonDefaults() Params {
 		p.Batch = 8
 	}
 	return p
+}
+
+// NewBuilder starts a plan of p's execution mode on the cluster
+// (exec.NewBuilder), reserving about expectTasks tasks, and makes it a
+// FullGraph build when p asks for one.
+func (p Params) NewBuilder(cl *gpu.Cluster, expectTasks int) *exec.Builder {
+	b := exec.NewBuilder(cl, p.Mode, expectTasks)
+	if p.FullGraph {
+		b.FullGraph()
+	}
+	return b
 }
 
 // CheckMemory is the HBM-capacity feasibility gate every strategy

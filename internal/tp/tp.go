@@ -109,7 +109,7 @@ func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 	// computes, the head block, L backward layers of 2 collectives + 2×d
 	// computes, plus cross-group reductions and the optimizer.
 	estimate := (p.Warmup + p.Iterations) * (groups*(L*(4+4*d)+6+4*d) + L + 2)
-	b := &builder{Builder: exec.NewBuilder(cl, p.Mode, estimate), cfg: p, d: d, groups: groups, local: local}
+	b := &builder{Builder: p.NewBuilder(cl, estimate), cfg: p, d: d, groups: groups, local: local}
 	b.tpS = make([]*sim.Stream, groups)
 	if !b.Sequential() {
 		for gr := range b.tpS {
@@ -119,7 +119,7 @@ func Build(cl *gpu.Cluster, p strategy.Params) (*exec.Plan, error) {
 			b.dpS = b.Eng.NewStream("comm.dp", 0)
 		}
 	}
-	return b.Plan(p.Warmup, p.Iterations, b.buildIteration), nil
+	return b.Plan(p.Warmup, p.Iterations, b.buildIteration)
 }
 
 type builder struct {

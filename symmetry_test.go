@@ -84,16 +84,16 @@ func TestStrategySymmetryClasses(t *testing.T) {
 }
 
 // TestCollapseMatchesFullRun is the end-to-end differential: for every
-// strategy, the collapsed fast path must reproduce the full simulation's
-// schedule digest and measurements bit for bit.
+// strategy, the collapsed fast path must reproduce the schedule digest
+// and measurements of the FullGraph build's full simulation bit for
+// bit.
 func TestCollapseMatchesFullRun(t *testing.T) {
 	for _, parallelism := range []core.Parallelism{"ddp", "fsdp", "tp", "pipeline"} {
 		t.Run(string(parallelism), func(t *testing.T) {
-			full, err := core.BuildPlan(symTestConfig(parallelism), exec.Overlapped)
+			full, err := core.BuildFullGraph(symTestConfig(parallelism), exec.Overlapped)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full.NoCollapse = true
 			if err := full.Run(); err != nil {
 				t.Fatal(err)
 			}
