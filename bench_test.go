@@ -258,9 +258,11 @@ func BenchmarkHeadlineAggregates(b *testing.B) {
 	b.ReportMetric(q.Max*100, "seqpen_max_%")
 }
 
-// BenchmarkSingleIterationFSDP measures raw simulator throughput for one
-// overlapped FSDP iteration of GPT-3 13B on MI250x4 — the paper's
-// worst-case configuration — as an engine microbenchmark.
+// BenchmarkSingleIterationFSDP measures raw simulator throughput for
+// overlapped FSDP on GPT-3 13B on MI250x4 — the paper's worst-case
+// configuration — as an engine microbenchmark. Warmup: 0 means the
+// default of one warm-up iteration (only a negative count means none),
+// so each op builds and simulates a warm-up and one measured iteration.
 func BenchmarkSingleIterationFSDP(b *testing.B) {
 	cfg := core.Config{
 		System:      hw.SystemMI250x4(),
@@ -280,9 +282,10 @@ func BenchmarkSingleIterationFSDP(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiNodeFSDP measures engine throughput beyond one node: an
-// overlapped FSDP iteration of GPT-3 13B on a 4-node × 8-GPU H100
-// cluster (32 ranks, hierarchical NVLink+NIC fabric). Alongside
+// BenchmarkMultiNodeFSDP measures engine throughput beyond one node:
+// overlapped FSDP on GPT-3 13B on a 4-node × 8-GPU H100 cluster (32
+// ranks, hierarchical NVLink+NIC fabric), each op a warm-up and one
+// measured iteration (Warmup: 0 is the default of one). Alongside
 // BenchmarkSingleIterationFSDP it tracks how simulation cost scales with
 // cluster size, and its characterization metrics expose the NIC tier:
 // the overlap ratio reported here should exceed the single-node runs'.
@@ -310,13 +313,15 @@ func BenchmarkMultiNodeFSDP(b *testing.B) {
 	b.ReportMetric(res.OverlapRatio*100, "overlap_%")
 }
 
-// BenchmarkEngineScale is the engine's scale trajectory: one overlapped
-// FSDP iteration of GPT-3 XL at 8 to 4096 ranks (H100 nodes of
-// 8, hierarchical NVLink+NIC fabric beyond one node). ns/op and
-// allocs/op at each rank count are the numbers BENCH.md tracks; a
-// scheduling or allocation regression shows up here before it shows up
-// in a paper grid. The per-GPU batch is fixed at 1 so the task graph —
-// and therefore simulation cost — grows linearly with ranks, while the
+// BenchmarkEngineScale is the engine's scale trajectory: overlapped FSDP
+// on GPT-3 XL at 8 to 4096 ranks (H100 nodes of 8, hierarchical
+// NVLink+NIC fabric beyond one node), each op building and simulating a
+// warm-up and one measured iteration (Warmup: 0 is the default of one
+// warm-up; only a negative count means none). ns/op and allocs/op at
+// each rank count are the numbers BENCH.md tracks; a scheduling or
+// allocation regression shows up here before it shows up in a paper
+// grid. The per-GPU batch is fixed at 1 so the task graph — and
+// therefore simulation cost — grows linearly with ranks, while the
 // rank-symmetry fast path keeps the simulated portion at O(classes).
 func BenchmarkEngineScale(b *testing.B) {
 	for _, ranks := range []int{8, 32, 128, 512, 4096} {
@@ -361,9 +366,10 @@ func censusEdges(b *testing.B, cfg core.Config, mode exec.Mode) int {
 
 // BenchmarkEngineScaleSequential is BenchmarkEngineScale's sequential
 // mode at the shapes where the collapse dominates: the core-scale 512
-// ranks and 4096. Sequential mode chains every collective into every
-// rank's compute, so its plan holds more edges, and in core.Run it is
-// the slower of the two modes, which run side by side.
+// ranks and 4096, each op again a warm-up and one measured iteration.
+// Sequential mode chains every collective into every rank's compute, so
+// its plan holds more edges, and in core.Run it is the slower of the two
+// modes, which run side by side.
 func BenchmarkEngineScaleSequential(b *testing.B) {
 	for _, ranks := range []int{512, 4096} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
@@ -392,11 +398,12 @@ func BenchmarkEngineScaleSequential(b *testing.B) {
 }
 
 // BenchmarkEngineScaleJitter is the jittered counterpart of
-// BenchmarkEngineScale: the same FSDP shape with σ=0.02 kernel jitter,
-// which vetoes the symmetry collapse, so every rank is simulated and
-// the ranks de-synchronize. It reports the epoch count and the
-// wall-clock cost per epoch, separating "more epochs" from "dearer
-// epochs" when the jittered path gets faster or slower.
+// BenchmarkEngineScale: the same FSDP shape, a warm-up and one measured
+// iteration per op, with σ=0.02 kernel jitter, which vetoes the symmetry
+// collapse, so every rank is simulated and the ranks de-synchronize. It
+// reports the epoch count and the wall-clock cost per epoch, separating
+// "more epochs" from "dearer epochs" when the jittered path gets faster
+// or slower.
 func BenchmarkEngineScaleJitter(b *testing.B) {
 	for _, ranks := range []int{32, 128} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {

@@ -42,10 +42,9 @@ type Op struct {
 // Compute fan-outs over every device, Collective ordered over every
 // device, the sequential-mode Chain, and the Pairwise and After edge
 // helpers. Each such call tallies what it made. Each full fan-out
-// records its replicas' range in the engine's ghost ledger
-// (sim.Engine.Replicate), and Collective checks each collective against
-// the declared class as it is made, as the detector's classes are
-// checked after detection.
+// records its replicas' range in the engine's ghost ledger, and
+// Collective checks each collective against the declared class as it is
+// made, as the detector's classes are checked after detection.
 //
 // On a deterministic cluster the declaration is a commitment: the
 // builder wires the graph the collapse would leave. A ghost is a replica
@@ -55,14 +54,21 @@ type Op struct {
 // (sim.Task.AfterMirror, Collapse's transfer rule); the chain makes no
 // edge on a ghost device's behalf. Ghost tasks and their streams are
 // still made, so a plan's tasks, streams and engine stats are those the
-// full graph's collapse reports. The plan can only run collapsed,
-// through the ledger (sim.Engine.CollapseDeclared), so whatever would
-// break the declaration is an error Plan returns, and RunContext too
-// when the engine changed after Plan: a census of the engine (tasks,
-// dependency edges, completion callbacks and streams) that differs from
-// the builder's tally, a collective the declared class vetoes, or a
-// call that is not symmetric leaving out an edge. A jittered cluster,
-// whose ranks run apart, and a FullGraph build wire every edge.
+// full graph's collapse reports. A full fan-out makes its replicas in
+// one engine call (sim.Engine.NewReplicas), and Pairwise and After tell
+// such a fan-out by pointer identity: its ghost slots are exactly the
+// run the engine made (sim.Engine.ReplicasOf). They then wire its ghost
+// range by index and read none of its ghosts; any other task list, a
+// fan-out with a slot changed included, is wired task by task, and a
+// Pairwise over it, or an After of it, is not symmetric. The plan can
+// only run collapsed, through the ledger
+// (sim.Engine.CollapseDeclared), so whatever would break the declaration
+// is an error Plan returns, and RunContext too when the engine changed
+// after Plan: a census of the engine (tasks, dependency edges,
+// completion callbacks and streams) that differs from the builder's
+// tally, a collective the declared class vetoes, or a call that is not
+// symmetric leaving out an edge. A jittered cluster, whose ranks run
+// apart, and a FullGraph build wire every edge.
 type Builder struct {
 	// Eng is the plan's engine.
 	Eng *sim.Engine
@@ -267,24 +273,41 @@ func (b *Builder) computeOn(name string, op Op, dev int) (*sim.Task, int) {
 //
 // A fan-out over every device is a symmetric call: it tallies its tasks
 // and chain edges and makes the first replica's task every other replica
-// task's mirror (sim.Engine.Replicate).
+// task's mirror. When the builder declared replicas, it makes those
+// replica tasks in one engine call (sim.Engine.NewReplicas), which also
+// records them in the ghost ledger, and chain-orders them after.
 func (b *Builder) Compute(base string, op Op, lo, hi int) []*sim.Task {
 	out := make([]*sim.Task, hi-lo)
-	edges := 0
+	full := lo == 0 && hi == len(b.streams)
+	var edges int
+	if full && b.declared() {
+		edges = b.computeRange(out[:b.lo+1], base, op, 0)
+		ghosts := out[b.lo+1 : b.hi]
+		copy(ghosts, b.Eng.NewReplicas(out[b.lo], b.streams[b.lo+1:b.hi]))
+		if b.chain != nil {
+			edges += b.chain.orderEach(b.lo+1, ghosts)
+		}
+		edges += b.computeRange(out[b.hi:], base, op, b.hi)
+	} else {
+		edges = b.computeRange(out, base, op, lo)
+	}
+	if full {
+		b.made.Tasks += len(out)
+		b.made.Edges += edges
+	}
+	return out
+}
+
+// computeRange makes out[i] on device lo+i, named by device, and returns
+// the chain edges it made.
+func (b *Builder) computeRange(out []*sim.Task, base string, op Op, lo int) (edges int) {
 	for i := range out {
 		var e int
 		out[i], e = b.computeOn(base, op, lo+i)
 		out[i].NameByDevice()
 		edges += e
 	}
-	if lo == 0 && hi == len(b.streams) {
-		if b.declared() {
-			b.Eng.Replicate(out[b.lo], out[b.lo+1:b.hi])
-		}
-		b.made.Tasks += len(out)
-		b.made.Edges += edges
-	}
-	return out
+	return edges
 }
 
 // Collective creates the communication task of the descriptor, named
@@ -343,9 +366,14 @@ func (b *Builder) Order(t *sim.Task, devices ...int) {
 }
 
 // Pairwise makes each ts[i] wait for deps[i]; a nil dep adds no edge.
-// Over two full Compute fan-outs it is a symmetric call: every replica's
-// task waits for its own device's counterpart.
+// Over two full Compute fan-outs of a committed build (block) it is a
+// symmetric call: every replica's task waits for its own device's
+// counterpart, so the ghost pairs get no edge, by index.
 func (b *Builder) Pairwise(ts, deps []*sim.Task) {
+	if b.block(ts) && b.block(deps) {
+		b.made.Edges += pairs(ts[:b.lo+1], deps[:b.lo+1]) + pairs(ts[b.hi:], deps[b.hi:])
+		return
+	}
 	edges, altered := 0, 0
 	for i, t := range ts {
 		d := deps[i]
@@ -364,21 +392,28 @@ func (b *Builder) Pairwise(ts, deps []*sim.Task) {
 		t.After(d)
 		edges++
 	}
-	if edges+altered == 0 || b.fanout(ts) && b.fanout(deps) {
-		b.made.Edges += edges
-	} else if b.committed && altered > 0 {
+	if b.committed && altered > 0 {
 		b.fail("Pairwise on tasks that are not two full fan-outs")
 	}
+}
+
+// pairs makes each ts[i] wait for deps[i] and returns the edges made.
+func pairs(ts, deps []*sim.Task) int {
+	for i, t := range ts {
+		t.After(deps[i])
+	}
+	return len(ts)
 }
 
 // After makes every task of ts wait for every dep; a nil dep adds no
 // edge. It is a symmetric call when ts is off the declared replicas (an
 // edge out of a replica task gates no replica), or when ts is a full
-// Compute fan-out and every dep is off the replicas (every replica's task
-// waits for the same tasks).
+// Compute fan-out of a committed build (block) and every dep is off the
+// replicas (every replica's task waits for the same tasks).
 func (b *Builder) After(ts []*sim.Task, deps ...*sim.Task) {
-	edges, altered := b.wire(ts, deps...)
-	if b.offReplicas(ts...) || b.fanout(ts) && b.offReplicas(deps...) {
+	block := b.block(ts)
+	edges, altered := b.wire(ts, block, deps)
+	if b.offReplicas(ts...) || block && b.offReplicas(deps...) {
 		b.made.Edges += edges
 	} else if b.committed && altered > 0 {
 		b.fail("After on tasks that are neither off the replicas nor a full fan-out")
@@ -388,13 +423,17 @@ func (b *Builder) After(ts []*sim.Task, deps ...*sim.Task) {
 // wire makes every task of ts wait for every non-nil dep and returns the
 // edges it made and the edges it left out or made from a mirror instead;
 // a call that is not symmetric must leave none out, for the census
-// counts only what was made.
+// counts only what was made. block says whether ts is a committed
+// fan-out (Builder.block).
 // A build that is not committed wires them all. A committed build wires
 // what the collapse would leave: no edge into a ghost, and an edge out
 // of a ghost made from its mirror (sim.Task.AfterMirror). The deps that
 // are not ghosts are wired first, so an edge the mirror makes itself is
-// never doubled by one made for a ghost.
-func (b *Builder) wire(ts []*sim.Task, deps ...*sim.Task) (edges, altered int) {
+// never doubled by one made for a ghost. The ghost range of a committed
+// fan-out, in ts or deps, is handled by index: its tasks get no edge,
+// and its edges out would all come from its mirror, which then already
+// gates every task it would.
+func (b *Builder) wire(ts []*sim.Task, block bool, deps []*sim.Task) (edges, altered int) {
 	if !b.committed {
 		for _, d := range deps {
 			if d != nil {
@@ -409,27 +448,42 @@ func (b *Builder) wire(ts []*sim.Task, deps ...*sim.Task) (edges, altered int) {
 			n++
 		}
 	}
-	for _, t := range ts {
-		if t == nil {
-			continue
-		}
-		if b.ghost(t) {
-			altered += n
-		} else {
-			kept = append(kept, t)
+	if block {
+		kept = append(append(kept, ts[:b.lo+1]...), ts[b.hi:]...)
+		altered += n * (b.hi - b.lo - 1)
+	} else {
+		for _, t := range ts {
+			if t == nil {
+				continue
+			}
+			if b.ghost(t) {
+				altered += n
+			} else {
+				kept = append(kept, t)
+			}
 		}
 	}
-	for _, d := range deps {
-		if d != nil && !b.ghost(d) {
+	if b.block(deps) {
+		for _, d := range deps[:b.lo+1] {
 			edges += d.Gates(kept)
 		}
-	}
-	for _, d := range deps {
-		if d != nil && b.ghost(d) {
-			for _, t := range kept {
-				edges += t.AfterMirror(d)
+		for _, d := range deps[b.hi:] {
+			edges += d.Gates(kept)
+		}
+		altered += (b.hi - b.lo - 1) * len(kept)
+	} else {
+		for _, d := range deps {
+			if d != nil && !b.ghost(d) {
+				edges += d.Gates(kept)
 			}
-			altered += len(kept)
+		}
+		for _, d := range deps {
+			if d != nil && b.ghost(d) {
+				for _, t := range kept {
+					edges += t.AfterMirror(d)
+				}
+				altered += len(kept)
+			}
 		}
 	}
 	b.kept = kept[:0]
@@ -466,16 +520,26 @@ func (b *Builder) offReplicas(ts ...*sim.Task) bool {
 	return true
 }
 
-// fanout reports whether ts is a full Compute fan-out: one task per
-// device, indexed by device, each replica's task mirroring the first
-// replica's.
-func (b *Builder) fanout(ts []*sim.Task) bool {
-	if len(ts) != len(b.streams) {
+// block reports whether ts is a full Compute fan-out of a committed
+// build: its ghost slots ts[lo+1:hi] hold, pointer for pointer, the
+// replicas the engine made of ts[lo] in one call (sim.Engine.ReplicasOf),
+// and every other slot a task on its own device. Wiring then handles the
+// ghost slots by index and reads none of their tasks. A fan-out with a
+// slot swapped, or a copy with one slot changed, is not a block: it is
+// wired task by task, and the call, not symmetric, is refused. A build
+// that is not committed checks no symmetry, so nothing is a block.
+func (b *Builder) block(ts []*sim.Task) bool {
+	if !b.committed || len(ts) != len(b.streams) || ts[b.lo] == nil ||
+		!slices.Equal(ts[b.lo+1:b.hi], b.Eng.ReplicasOf(ts[b.lo])) {
 		return false
 	}
-	for d, t := range ts {
-		if t == nil || t.Streams()[0].Device() != d ||
-			d > b.lo && d < b.hi && t.Mirror() != ts[b.lo] {
+	for d, t := range ts[:b.lo+1] {
+		if t == nil || t.Streams()[0].Device() != d {
+			return false
+		}
+	}
+	for i, t := range ts[b.hi:] {
+		if t == nil || t.Streams()[0].Device() != b.hi+i {
 			return false
 		}
 	}

@@ -43,6 +43,28 @@ func TestSymmetricCallsOnly(t *testing.T) {
 			d := p.b.Compute("d", p.b.KernelOp(kernels.Elementwise("d", 1e6, 1, 0, precision.FP16)), 0, 4)
 			p.b.Pairwise(d, []*sim.Task{p.a[0], p.a[1], p.c[2], p.a[3]})
 		}, false},
+		// A committed fan-out is wired by index only while its ghost
+		// slots are, pointer for pointer, the replicas Compute made.
+		{"Pairwise on a fan-out with ghost slots swapped", Overlapped, func(p parts) {
+			d := p.b.Compute("d", p.b.KernelOp(kernels.Elementwise("d", 1e6, 1, 0, precision.FP16)), 0, 4)
+			p.a[2], p.a[3] = p.a[3], p.a[2]
+			p.b.Pairwise(d, p.a)
+		}, false},
+		{"Pairwise on a fan-out copy with a ghost slot changed", Overlapped, func(p parts) {
+			d := p.b.Compute("d", p.b.KernelOp(kernels.Elementwise("d", 1e6, 1, 0, precision.FP16)), 0, 4)
+			cp := slices.Clone(p.c)
+			cp[3] = p.a[3]
+			p.b.Pairwise(d, cp)
+		}, false},
+		{"After on a fan-out with ghost slots swapped", Overlapped, func(p parts) {
+			p.c[2], p.c[3] = p.c[3], p.c[2]
+			p.b.After(p.c, p.coll)
+		}, false},
+		{"After on a fan-out copy with a ghost slot changed", Sequential, func(p parts) {
+			cp := slices.Clone(p.c)
+			cp[3] = p.a[3]
+			p.b.After(cp, p.coll)
+		}, false},
 		{"After on part of a fan-out", Overlapped, func(p parts) {
 			p.b.After(p.c[2:3], p.coll)
 		}, false},

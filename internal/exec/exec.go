@@ -451,6 +451,26 @@ func (c *Chain) Order(t *sim.Task, devices ...int) (edges, skipped int) {
 	return edges, skipped
 }
 
+// orderEach orders each ts[i] on device lo+i alone, as Order(ts[i],
+// lo+i) would in turn, and returns the edges it made. A task on a
+// skipped device needs no edge, so it only becomes the device's latest
+// operation.
+func (c *Chain) orderEach(lo int, ts []*sim.Task) (edges int) {
+	if n := lo + len(ts); n > len(c.last) {
+		c.last = append(c.last, make([]*sim.Task, n-len(c.last))...)
+	}
+	for i, t := range ts {
+		d := lo + i
+		if d >= c.skipLo && d < c.skipHi {
+			c.last[d] = t
+			continue
+		}
+		e, _ := c.Order(t, d)
+		edges += e
+	}
+	return edges
+}
+
 // Last returns the most recent operation ordered on the device, or nil.
 func (c *Chain) Last(device int) *sim.Task {
 	if device >= len(c.last) {

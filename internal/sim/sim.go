@@ -91,6 +91,7 @@ type Task struct {
 	remaining float64
 	rate      float64
 	started   bool
+	replicas  int32 // 1 + the ledger range of t's NewReplicas replicas; 0 for none (in padding)
 	start     float64
 	end       float64
 
@@ -236,9 +237,9 @@ func (t *Task) Mirror() *Task { return t.mirror }
 // SetMirror records rep as the task's class-representative counterpart:
 // the task on the representative device whose timeline t reports once
 // Collapse has ghosted t. A nil rep clears it. Mirrors have two other
-// writers: Engine.Replicate, through which a builder that declares its
-// symmetry writes them as it fans a kernel out, and DetectClasses, which
-// writes them as it proves a class. A mirror written here or by
+// writers: Engine.NewReplicas, through which a builder that declares
+// its symmetry writes them as it fans a kernel out, and DetectClasses,
+// which writes them as it proves a class. A mirror written here or by
 // DetectClasses voids the engine's ghost ledger (see CollapseDeclared).
 func (t *Task) SetMirror(rep *Task) {
 	t.mirror = rep

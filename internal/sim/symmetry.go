@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
@@ -19,20 +20,23 @@ import (
 // while the simulated work drops from O(ranks) to O(classes).
 //
 // A class and its mirrors come from one of two producers. A builder
-// whose ranks are symmetric by construction declares them: it writes
-// each fan-out's replica mirrors through Replicate, which also records
-// where the replicas sit in creation order, wires no edge into a replica
-// and makes each edge out of one from its mirror (AfterMirror), and
-// checks through Census that the engine holds nothing it did not make
-// through its symmetric calls; FSDP plans on deterministic clusters do
-// this. That ghost ledger lets CollapseDeclared collapse the class in
-// O(fan-outs) without walking the tasks. DetectClasses proves symmetry
-// structurally instead, trusting no builder's word, one device at a
-// time against the representatives of the classes found so far: it
-// serves the plans that declare nothing (DDP, TP, pipeline,
-// hand-assembled plans), and its classes collapse through Collapse's
-// creation-order passes. Run on a plan that wires every edge, the two
-// are the oracle the tests hold every declaration to.
+// whose ranks are symmetric by construction declares them: it makes each
+// fan-out's replica tasks in one NewReplicas call, which writes their
+// mirror and records where they sit in creation order, wires no edge
+// into a replica and makes each edge out of one from its mirror
+// (AfterMirror), and checks through Census that the engine holds nothing
+// it did not make through its symmetric calls; FSDP plans on
+// deterministic clusters do this. It tells its fan-outs apart from other
+// task lists by pointer identity with ReplicasOf, so it wires a fan-out
+// without reading its replicas. That ghost ledger lets CollapseDeclared
+// collapse the class in O(fan-outs) without walking the tasks.
+// DetectClasses proves symmetry structurally instead, trusting no
+// builder's word, one device at a time against the representatives of
+// the classes found so far: it serves the plans that declare nothing
+// (DDP, TP, pipeline, hand-assembled plans), and its classes collapse
+// through Collapse's creation-order passes. Run on a plan that wires
+// every edge, the two are the oracle the tests hold every declaration
+// to.
 //
 // Detection is conservative by construction. Any device the proof cannot
 // cover — multi-stream (rendezvous) tasks, completion callbacks, a
@@ -386,28 +390,72 @@ func (t *Task) ghostify() {
 type ledger struct {
 	spans []span
 	// void is set once the ledger can no longer stand for the class: a
-	// mirror was written outside Replicate.
+	// mirror was written outside NewReplicas.
 	void bool
 }
 
 // span is a range [from, to) of creation indices.
 type span struct{ from, to int32 }
 
-// Replicate writes rep as the mirror of every task of replicas and
-// records where they sit in creation order in the engine's ghost ledger,
-// one range per run of consecutive tasks. A builder that declares its
-// ranks symmetric calls it once per fan-out with the fan-out's replica
-// tasks; a fan-out made task by task in device order is one range.
-func (e *Engine) Replicate(rep *Task, replicas []*Task) {
-	l := &e.ledger
-	for _, t := range replicas {
-		t.mirror = rep
-		if n := len(l.spans); n > 0 && int(l.spans[n-1].to) == t.seq {
-			l.spans[n-1].to++
-		} else {
-			l.spans = append(l.spans, span{int32(t.seq), int32(t.seq + 1)})
-		}
+// NewReplicas makes one replica of rep on each of streams, in order, in
+// one loop: a task with rep's name, kind, work and payload, named by
+// device (NameByDevice), whose mirror is rep. It leaves the engine's
+// tasks, stream queues and dirty set as NewTask on each stream and
+// NameByDevice on each task would, and records the replicas in the ghost
+// ledger as one range of creation indices, the one ReplicasOf(rep)
+// returns. A builder that declares its ranks symmetric makes each
+// fan-out's replica tasks this way.
+//
+// It returns the replicas: a run of the engine's task list, shared,
+// which callers must not modify.
+func (e *Engine) NewReplicas(rep *Task, streams []*Stream) []*Task {
+	if len(streams) == 0 {
+		return nil
 	}
+	from := len(e.tasks)
+	for _, s := range streams {
+		if s == nil {
+			//overlaplint:allow nopanic engine invariant: executors never pass nil streams
+			panic(fmt.Sprintf("sim: nil stream for a replica of %q", rep.name))
+		}
+		// As in NewTask: the arena slot is still zero, so only the
+		// non-zero fields are set.
+		t := e.allocTask()
+		t.name = rep.name
+		t.kind = rep.kind
+		t.work = rep.work
+		t.payload = rep.payload
+		t.remaining = rep.work
+		t.seq = e.nextSeq
+		t.eng = e
+		t.atDevice = true
+		t.mirror = rep
+		e.nextSeq++
+		t.streams = append(e.strmChunk(1), s)
+		s.queue = append(s.queue, t)
+		if len(s.queue)-s.head == 1 {
+			e.markDirty(s)
+		}
+		e.tasks = append(e.tasks, t)
+	}
+	to := len(e.tasks)
+	e.ledger.spans = append(e.ledger.spans, span{int32(from), int32(to)})
+	rep.replicas = int32(len(e.ledger.spans))
+	return e.tasks[from:to:to]
+}
+
+// ReplicasOf returns the replicas the last NewReplicas call on rep made,
+// in creation order, or nil when there are none or the ledger is void:
+// a run of the engine's task list, shared, which callers must not
+// modify. It reads rep and the ledger, not the replicas, so a builder
+// can tell one of its fan-outs by comparing the fan-out's replica slots
+// with it pointer by pointer.
+func (e *Engine) ReplicasOf(rep *Task) []*Task {
+	if rep.replicas == 0 || rep.eng != e || e.ledger.void {
+		return nil
+	}
+	s := e.ledger.spans[rep.replicas-1]
+	return e.tasks[s.from:s.to:s.to]
 }
 
 // AfterMirror makes t wait for g's mirror where it would wait for g:

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // intEq is the payload comparator the sim-level tests use: payloads are
@@ -465,9 +466,9 @@ func TestGatesMatchesAfter(t *testing.T) {
 }
 
 // declaredDAG is symDAG's shape built the way a declaring builder builds
-// it: slot by slot, each slot fanned out over the ranks with rank 0's
-// task the mirror of the others' (Replicate), and a sink waiting for
-// every rank's last slot. A committed build wires what the collapse
+// it: slot by slot, each slot's rank-0 task fanned out to the other
+// ranks as its replicas (NewReplicas), and a sink waiting for every
+// rank's last slot. A committed build wires what the collapse
 // leaves: no edge into a replica, and the sink's edges from replicas
 // made from their mirror (AfterMirror). Returns the engine and the
 // fan-outs by [slot][rank].
@@ -481,10 +482,9 @@ func declaredDAG(ranks, slots int, committed bool) (*Engine, [][]*Task) {
 	}
 	fans := make([][]*Task, slots)
 	for i := range fans {
-		fans[i] = make([]*Task, ranks)
-		for r := range fans[i] {
-			t := e.NewTask(fmt.Sprintf("r%d.%d", r, i), KindCompute, float64(i%5)+0.5, i, streams[r])
-			fans[i][r] = t
+		rep := e.NewTask(fmt.Sprintf("s%d", i), KindCompute, float64(i%5)+0.5, i, streams[0]).NameByDevice()
+		fans[i] = append([]*Task{rep}, e.NewReplicas(rep, streams[1:])...)
+		for r, t := range fans[i] {
 			if committed && r > 0 {
 				continue
 			}
@@ -494,7 +494,6 @@ func declaredDAG(ranks, slots int, committed bool) (*Engine, [][]*Task) {
 				t.After(fans[i-1][r])
 			}
 		}
-		e.Replicate(fans[i][0], fans[i][1:])
 	}
 	sink := e.NewTask("sink", KindCompute, 1, 101, shared)
 	for _, d := range fans[slots-1] {
@@ -656,6 +655,165 @@ func TestLedgerVoids(t *testing.T) {
 		}
 		if _, ok := e.CollapseDeclared(classes[0]); ok {
 			t.Fatal("CollapseDeclared collapsed a finished engine")
+		}
+	})
+}
+
+// replicate is the task-by-task reference for NewReplicas: it writes rep
+// as the mirror of every task of replicas, made one by one, and records
+// where they sit in creation order in the engine's ghost ledger, one
+// range per run of consecutive tasks.
+func replicate(e *Engine, rep *Task, replicas []*Task) {
+	l := &e.ledger
+	for _, t := range replicas {
+		t.mirror = rep
+		if n := len(l.spans); n > 0 && int(l.spans[n-1].to) == t.seq {
+			l.spans[n-1].to++
+		} else {
+			l.spans = append(l.spans, span{int32(t.seq), int32(t.seq + 1)})
+		}
+	}
+}
+
+// replicaFans builds fans fan-outs over ranks streams the way a declaring
+// builder does: each slot's rank-0 task by NewTask and NameByDevice, then
+// its replicas on ranks 1..ranks-1, either in one NewReplicas call
+// (bulk) or by NewTask, NameByDevice and replicate, and after it a task
+// on a stream of its own. The streams start out of the dirty set, so
+// the dirty set records each stream's first enqueue. reserve is the
+// engine's Reserve hint; 0 leaves the slabs to grow chunk by chunk. Each
+// rank-0 task waits for the previous one, so the fan-outs run in order.
+func replicaFans(ranks, fans, reserve int, bulk bool) (*Engine, [][]*Task) {
+	e := NewEngine(PlatformFunc(flatRate))
+	e.Reserve(reserve)
+	streams := make([]*Stream, ranks)
+	for r := range streams {
+		streams[r] = e.NewStream(name(r), r)
+	}
+	solo := e.NewStream("solo", ranks)
+	e.admit() // no task yet: empties the dirty set
+	out := make([][]*Task, fans)
+	for i := range out {
+		rep := e.NewTask(fmt.Sprintf("f%d", i), KindCompute, float64(i%4)+0.5, i, streams[0]).NameByDevice()
+		if i > 0 {
+			rep.After(out[i-1][0])
+		}
+		out[i] = append(out[i], rep)
+		if bulk {
+			out[i] = append(out[i], e.NewReplicas(rep, streams[1:])...)
+		} else {
+			for _, s := range streams[1:] {
+				out[i] = append(out[i], e.NewTask(rep.name, rep.kind, rep.work, rep.payload, s).NameByDevice())
+			}
+			replicate(e, rep, out[i][1:])
+		}
+		e.NewTask(fmt.Sprintf("solo%d", i), KindHost, 1, 3, solo)
+	}
+	return e, out
+}
+
+// TestNewReplicasMatchesTaskByTask: the replicas NewReplicas makes in
+// one call leave the engine, field for field, as NewTask, NameByDevice
+// and replicate leave it task by task: names, kinds, work, payloads,
+// creation order, streams, mirrors, stream queues, the dirty set, the
+// ghost ledger's ranges, Census and Stats. Without a Reserve hint a
+// fan-out of 300 replicas crosses a task slab boundary. ReplicasOf
+// returns the run each call made, and nothing once the ledger is void;
+// both builds collapse through the ledger and run the same schedule.
+func TestNewReplicasMatchesTaskByTask(t *testing.T) {
+	const ranks, fans = 301, 4
+	for _, reserve := range []int{0, ranks*fans + fans} {
+		t.Run(fmt.Sprintf("reserve=%d", reserve), func(t *testing.T) {
+			ref, _ := replicaFans(ranks, fans, reserve, false)
+			e, out := replicaFans(ranks, fans, reserve, true)
+			seqs := func(ts []*Task) []int {
+				var s []int
+				for _, x := range ts {
+					s = append(s, x.seq)
+				}
+				return s
+			}
+			crossed := false
+			for i, a := range e.tasks {
+				b := ref.tasks[i]
+				if a.Name() != b.Name() || a.kind != b.kind || a.payload != b.payload || a.seq != b.seq || a.Seq() != i ||
+					math.Float64bits(a.work) != math.Float64bits(b.work) ||
+					math.Float64bits(a.remaining) != math.Float64bits(b.remaining) ||
+					a.atDevice != b.atDevice || a.deps != b.deps || a.st != b.st || a.eng != e {
+					t.Fatalf("task %d: %s/%v/%v/%g bulk, %s/%v/%v/%g task by task", i,
+						a.Name(), a.kind, a.payload, a.work, b.Name(), b.kind, b.payload, b.work)
+				}
+				if (a.mirror == nil) != (b.mirror == nil) || a.mirror != nil && a.mirror.seq != b.mirror.seq {
+					t.Fatalf("task %s: mirrors differ", a.Name())
+				}
+				if len(a.streams) != 1 || a.streams[0].seq != b.streams[0].seq {
+					t.Fatalf("task %s: streams differ", a.Name())
+				}
+				if i > 0 && uintptr(unsafe.Pointer(a))-uintptr(unsafe.Pointer(e.tasks[i-1])) != uintptr(taskBytes) &&
+					a.mirror != nil && a.mirror == e.tasks[i-1].mirror {
+					crossed = true
+				}
+			}
+			if len(e.tasks) != len(ref.tasks) {
+				t.Fatalf("%d tasks bulk, %d task by task", len(e.tasks), len(ref.tasks))
+			}
+			if reserve == 0 && !crossed {
+				t.Fatal("no fan-out crossed a task slab boundary")
+			}
+			for i, s := range e.streams {
+				r := ref.streams[i]
+				if !slices.Equal(seqs(s.queue), seqs(r.queue)) || s.head != r.head || s.dirty != r.dirty {
+					t.Fatalf("stream %s: queue %v bulk, %v task by task", s.name, seqs(s.queue), seqs(r.queue))
+				}
+			}
+			streamSeqs := func(ss []*Stream) []int {
+				var s []int
+				for _, x := range ss {
+					s = append(s, x.seq)
+				}
+				return s
+			}
+			if !slices.Equal(streamSeqs(e.dirty), streamSeqs(ref.dirty)) {
+				t.Fatalf("dirty set %v bulk, %v task by task", streamSeqs(e.dirty), streamSeqs(ref.dirty))
+			}
+			if !slices.Equal(e.ledger.spans, ref.ledger.spans) || len(e.ledger.spans) != fans {
+				t.Fatalf("ledger %v bulk, %v task by task", e.ledger.spans, ref.ledger.spans)
+			}
+			if e.Census() != ref.Census() || e.Stats() != ref.Stats() {
+				t.Fatalf("census %+v, stats %+v bulk;\ncensus %+v, stats %+v task by task",
+					e.Census(), e.Stats(), ref.Census(), ref.Stats())
+			}
+			for i, f := range out {
+				if got := e.ReplicasOf(f[0]); len(got) != ranks-1 || !slices.Equal(got, f[1:]) {
+					t.Fatalf("ReplicasOf fan-out %d: %d tasks, not its replicas", i, len(got))
+				}
+				if e.ReplicasOf(f[1]) != nil || ref.ReplicasOf(ref.tasks[f[0].seq]) != nil {
+					t.Fatalf("ReplicasOf fan-out %d names replicas NewReplicas did not make", i)
+				}
+			}
+			classes := Class{Members: make([]int, ranks)}
+			for r := range classes.Members {
+				classes.Members[r] = r
+			}
+			for _, eng := range []*Engine{ref, e} {
+				if n, ok := eng.CollapseDeclared(classes); !ok || n != (ranks-1)*fans {
+					t.Fatalf("CollapseDeclared = %d, %v", n, ok)
+				}
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireSameSchedule(t, ref, e)
+			if e.Stats() != ref.Stats() {
+				t.Fatalf("run stats diverged:\n%+v\n%+v", e.Stats(), ref.Stats())
+			}
+		})
+	}
+	t.Run("void ledger", func(t *testing.T) {
+		e, out := replicaFans(3, 2, 0, true)
+		out[1][2].SetMirror(out[1][0])
+		if got := e.ReplicasOf(out[0][0]); got != nil {
+			t.Fatalf("ReplicasOf on a void ledger = %d tasks", len(got))
 		}
 	})
 }
