@@ -82,8 +82,8 @@ func runDigest(t *testing.T, plan *exec.Plan) string {
 
 // requireDeclaredMatchesOracle holds a committed FSDP plan to the
 // detector and to the full run. build(false) makes the committed plan
-// and build(true) the FullGraph reference, which wires every edge: its
-// mirrors cleared, the reference must detect the declared classes and
+// and build(true) the FullGraph reference, which wires every edge and
+// declares nothing: the reference must detect the declared classes and
 // record the same mirror on every task; and the committed plan's
 // collapse must reproduce the reference's full run bit for bit
 // (schedule with names, power telemetry and measurements). Each plan's
@@ -102,9 +102,6 @@ func requireDeclaredMatchesOracle(t *testing.T, build func(full bool) (*exec.Pla
 	classes := declared.DeclaredClasses()
 	if classes == nil {
 		t.Fatal("FSDP plan declared no classes")
-	}
-	for _, task := range oracle.Engine.Tasks() {
-		task.SetMirror(nil)
 	}
 	if detected := oracle.SymmetryClasses(); !reflect.DeepEqual(classes, detected) {
 		t.Fatalf("declared classes %v, detected %v", classes, detected)
@@ -343,10 +340,11 @@ func stateOf(task *sim.Task) taskState {
 
 // requireLedgerMatchesCollapse holds the ledger collapse of a committed
 // build (build(false)) to Collapse's passes over the FullGraph build
-// (build(true)) of the same plan: every task's state, residual work and
-// ghost flag, every live task's distinct live successors, and the engine
-// stats must agree bit for bit, before the run and after it, and so
-// must every task's times.
+// (build(true)) of the same plan, whose mirrors come from the detector,
+// which must find the declared partition: every task's state, residual
+// work and ghost flag, every live task's distinct live successors, and
+// the engine stats must agree bit for bit, before the run and after it,
+// and so must every task's times.
 func requireLedgerMatchesCollapse(t *testing.T, build func(full bool) (*exec.Plan, error)) {
 	t.Helper()
 	ledger, err := build(false)
@@ -366,6 +364,9 @@ func requireLedgerMatchesCollapse(t *testing.T, build func(full bool) (*exec.Pla
 		if len(c.Members) > 1 {
 			class = c
 		}
+	}
+	if detected := generic.SymmetryClasses(); !reflect.DeepEqual(classes, detected) {
+		t.Fatalf("declared classes %v, detected %v", classes, detected)
 	}
 	n, ok := ledger.Engine.CollapseDeclared(class)
 	if !ok {

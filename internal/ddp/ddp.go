@@ -106,12 +106,6 @@ func (b *builder) newAllReduce(name string, bytes float64) *sim.Task {
 	return b.Collective(name, collective.Desc{Op: collective.AllReduce, Bytes: bytes, N: b.n}, b.commS, 0, b.Devices()...)
 }
 
-func after(ts []*sim.Task, deps ...*sim.Task) {
-	for _, t := range ts {
-		t.After(deps...)
-	}
-}
-
 // buildIteration appends one DDP iteration: full forward, then backward
 // layer by layer with gradient buckets all-reduced as they fill, then the
 // optimizer step gated on the last reduction.
@@ -131,22 +125,16 @@ func (b *builder) buildIteration(it int) {
 	for i := 0; i < L; i++ {
 		f := b.newCompute(b.Name(fwdPrefix, i), fwdOp)
 		if i == 0 {
-			after(f, b.Last...)
+			b.After(f, b.Last...)
 		} else {
-			for d, t := range f {
-				t.After(prev[d])
-			}
+			b.Pairwise(f, prev)
 		}
 		prev = f
 	}
 	hf := b.newCompute(fmt.Sprintf("it%d.fwd.head", it), headFOp)
-	for d, t := range hf {
-		t.After(prev[d])
-	}
+	b.Pairwise(hf, prev)
 	hb := b.newCompute(fmt.Sprintf("it%d.bwd.head", it), headBOp)
-	for d, t := range hb {
-		t.After(hf[d])
-	}
+	b.Pairwise(hb, hf)
 	prev = hb
 
 	// Backward with bucketed all-reduce overlap.
@@ -158,14 +146,12 @@ func (b *builder) buildIteration(it int) {
 	arPrefix := fmt.Sprintf("it%d.ar.bucket", it)
 	for i := L - 1; i >= 0; i-- {
 		bw := b.newCompute(b.Name(bwdPrefix, i), bwdOp)
-		for d, t := range bw {
-			t.After(prev[d])
-		}
+		b.Pairwise(bw, prev)
 		prev = bw
 		pending += layerGradBytes
 		if pending >= b.cfg.BucketBytes || i == 0 {
 			ar := b.newAllReduce(b.Name(arPrefix, bucket), pending)
-			after([]*sim.Task{ar}, bw...)
+			b.After([]*sim.Task{ar}, bw...)
 			reduces = append(reduces, ar)
 			pending = 0
 			bucket++
@@ -174,9 +160,7 @@ func (b *builder) buildIteration(it int) {
 
 	// Optimizer over the full replica.
 	opt := b.newCompute(fmt.Sprintf("it%d.opt", it), b.KernelOp(m.OptimizerKernel(m.TotalParams())))
-	for d, t := range opt {
-		t.After(prev[d])
-		t.After(reduces[len(reduces)-1])
-	}
+	b.Pairwise(opt, prev)
+	b.After(opt, reduces[len(reduces)-1])
 	b.Last = opt
 }

@@ -46,29 +46,29 @@ type Op struct {
 // Collective checks each collective against the declared class as it is
 // made, as the detector's classes are checked after detection.
 //
-// On a deterministic cluster the declaration is a commitment: the
-// builder wires the graph the collapse would leave. A ghost is a replica
-// task on a device other than the representative. No edge runs into a
-// ghost, and an edge out of one is made from its mirror instead, once,
-// and not at all when the mirror already gates the task
-// (sim.Task.AfterMirror, Collapse's transfer rule); the chain makes no
-// edge on a ghost device's behalf. Ghost tasks and their streams are
-// still made, so a plan's tasks, streams and engine stats are those the
-// full graph's collapse reports. A full fan-out makes its replicas in
-// one engine call (sim.Engine.NewReplicas), and Pairwise and After tell
-// such a fan-out by pointer identity: its ghost slots are exactly the
-// run the engine made (sim.Engine.ReplicasOf). They then wire its ghost
-// range by index and read none of its ghosts; any other task list, a
-// fan-out with a slot changed included, is wired task by task, and a
-// Pairwise over it, or an After of it, is not symmetric. The plan can
-// only run collapsed, through the ledger
+// A declaration commits the builder or does not exist: it is made only
+// before the first task, on a deterministic cluster, and not in a
+// FullGraph build. A committed builder wires the graph the collapse
+// would leave. A ghost is a replica task on a device other than the
+// representative. A full fan-out makes its replicas in one engine call
+// (sim.Engine.NewReplicas), and Pairwise and After tell such a fan-out
+// by pointer identity: its ghost slots are exactly the run the engine
+// made (sim.Engine.ReplicasOf). They wire no edge into its ghost slots,
+// and none out of them either, for the representative's task already
+// makes every edge a ghost's would become (Collapse's transfer rule);
+// the chain makes no edge on a ghost device's behalf. A ghost anywhere
+// else, a fan-out with a slot changed included, is refused, and that
+// call wires nothing. Ghost tasks and their streams are still made, so
+// a plan's tasks, streams and engine stats are those the full graph's
+// collapse reports. The plan can only run collapsed, through the ledger
 // (sim.Engine.CollapseDeclared), so whatever would break the declaration
 // is an error Plan returns, and RunContext too when the engine changed
 // after Plan: a census of the engine (tasks, dependency edges,
 // completion callbacks and streams) that differs from the builder's
-// tally, a collective the declared class vetoes, or a call that is not
-// symmetric leaving out an edge. A jittered cluster, whose ranks run
-// apart, and a FullGraph build wire every edge.
+// tally, a collective the declared class vetoes, or a ghost wired
+// outside its fan-out. A build that declares nothing, a jittered or
+// FullGraph one included, makes plain per-device tasks and wires every
+// edge.
 type Builder struct {
 	// Eng is the plan's engine.
 	Eng *sim.Engine
@@ -97,15 +97,13 @@ type Builder struct {
 	colls   []*sim.Task // every Collective task, in creation order
 
 	// lo and hi bound the declared replica devices (none while lo ==
-	// hi); full is set by FullGraph; committed is set while the builder
-	// wires the collapsed graph; made tallies what the builder's
-	// symmetric calls made; err is the first thing that broke a
-	// committed declaration.
-	lo, hi    int
-	full      bool
-	committed bool
-	made      sim.Census
-	err       error
+	// hi); full is set by FullGraph; made tallies what the builder's
+	// symmetric calls made; err is the first thing that broke the
+	// declaration.
+	lo, hi int
+	full   bool
+	made   sim.Census
+	err    error
 }
 
 // NewBuilder starts a plan on a fresh engine bound to the cluster,
@@ -155,47 +153,39 @@ func (b *Builder) KernelOp(d kernels.Desc) Op {
 func (b *Builder) Devices() []int { return b.devices }
 
 // DeclareReplicas declares devices [lo, hi) rank-symmetric: one class
-// whose members run the same graph, with lo its representative. From
-// then on every full Compute fan-out records, on each replica's task,
-// the representative's task as its mirror, and on a deterministic
-// cluster the builder commits to the declaration (see Builder). A
-// declaration made after the first task is ignored: the calls before it
-// were not checked against it.
+// whose members run the same graph, with lo its representative, and
+// commits the builder to it (see Builder). From then on every full
+// Compute fan-out records, on each replica's task, the representative's
+// task as its mirror. It declares nothing after the first task, whose
+// calls were not checked against it, on a jittered cluster, whose ranks
+// run apart, or in a FullGraph build.
 func (b *Builder) DeclareReplicas(lo, hi int) {
-	if len(b.Eng.Tasks()) == 0 {
-		b.lo, b.hi = max(lo, 0), min(hi, len(b.streams))
-		b.commit()
+	if len(b.Eng.Tasks()) > 0 || b.full || !b.cl.Deterministic() {
+		return
+	}
+	b.lo, b.hi = max(lo, 0), min(hi, len(b.streams))
+	if b.chain != nil && b.declared() {
+		b.chain.skipLo, b.chain.skipHi = b.lo+1, b.hi
 	}
 }
 
 // FullGraph makes the builder wire every edge and its plan simulate
-// every rank, collapsing nothing, whatever it declares or the detector
-// would prove: the reference a collapse is held to. On a committed
-// build it must come before the first task, whose edges it would
-// otherwise miss; later, Plan returns an error.
+// every rank, collapsing nothing, whatever the detector would prove: the
+// reference a collapse is held to. It clears a declaration made before
+// the first task; after the first task of a committed build, whose
+// edges it would miss, Plan returns an error instead.
 func (b *Builder) FullGraph() {
-	if b.committed && len(b.Eng.Tasks()) > 0 {
+	if b.declared() && len(b.Eng.Tasks()) > 0 {
 		b.fail("FullGraph after the first task of a committed build")
 		return
 	}
-	b.full = true
-	b.commit()
-}
-
-// commit sets whether the builder wires the collapsed graph: when it
-// declared replicas on a deterministic cluster and was not asked for
-// the full graph. The chain then makes no edge for a ghost device.
-func (b *Builder) commit() {
-	b.committed = b.declared() && !b.full && b.cl.Deterministic()
+	b.full, b.lo, b.hi = true, 0, 0
 	if b.chain != nil {
 		b.chain.skipLo, b.chain.skipHi = 0, 0
-		if b.committed {
-			b.chain.skipLo, b.chain.skipHi = b.lo+1, b.hi
-		}
 	}
 }
 
-// fail records the first reason a committed declaration broke.
+// fail records the first reason the declaration broke.
 func (b *Builder) fail(format string, args ...any) {
 	if b.err == nil {
 		b.err = fmt.Errorf("%w: %s", ErrAsymmetric, fmt.Sprintf(format, args...))
@@ -230,7 +220,7 @@ func (b *Builder) Plan(warmup, iters int, build func(it int)) (*Plan, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if b.committed {
+	if b.declared() {
 		p.replicas, p.census = b.devices[b.lo:b.hi], b.made
 		if err := p.checkCensus(); err != nil {
 			return nil, err
@@ -339,11 +329,11 @@ func (b *Builder) Collective(name string, d collective.Desc, overlapped *sim.Str
 			b.made.Tasks++
 			b.made.Streams++
 			b.made.Edges += edges
-		} else if b.committed && skipped > 0 {
+		} else if b.declared() && skipped > 0 {
 			b.fail("collective %q ordered over devices %v, not every device", name, orderDevices)
 		}
 	}
-	if b.committed {
+	if b.declared() {
 		if n := d.ParticipantsIn(b.lo, b.hi); !b.offReplicas(t) || n != 0 && n != b.hi-b.lo {
 			b.fail("collective %q occupies part of the declared replicas", name)
 		}
@@ -360,7 +350,7 @@ func (b *Builder) Order(t *sim.Task, devices ...int) {
 	if b.chain == nil {
 		return
 	}
-	if _, skipped := b.chain.Order(t, devices...); b.committed && skipped > 0 {
+	if _, skipped := b.chain.Order(t, devices...); b.declared() && skipped > 0 {
 		b.fail("Order of %q over devices %v", t.Name(), devices)
 	}
 }
@@ -368,36 +358,26 @@ func (b *Builder) Order(t *sim.Task, devices ...int) {
 // Pairwise makes each ts[i] wait for deps[i]; a nil dep adds no edge.
 // Over two full Compute fan-outs of a committed build (block) it is a
 // symmetric call: every replica's task waits for its own device's
-// counterpart, so the ghost pairs get no edge, by index.
+// counterpart, so the ghost pairs get no edge, by index. A ghost in any
+// other pair that makes an edge is refused, and nothing is wired.
 func (b *Builder) Pairwise(ts, deps []*sim.Task) {
 	if b.block(ts) && b.block(deps) {
 		b.made.Edges += pairs(ts[:b.lo+1], deps[:b.lo+1]) + pairs(ts[b.hi:], deps[b.hi:])
 		return
 	}
-	edges, altered := 0, 0
-	for i, t := range ts {
-		d := deps[i]
-		if d == nil {
-			continue
-		}
-		if b.committed && (b.ghost(t) || b.ghost(d)) {
-			// wire's rule for one pair, inline: per-pair calls to wire
-			// cost a measurable share of a 512-rank build.
-			if !b.ghost(t) {
-				edges += t.AfterMirror(d)
+	if b.declared() {
+		for i, d := range deps {
+			if d != nil && (b.ghost(ts[i]) || b.ghost(d)) {
+				b.fail("Pairwise on a ghost outside two full fan-outs")
+				return
 			}
-			altered++
-			continue
 		}
-		t.After(d)
-		edges++
 	}
-	if b.committed && altered > 0 {
-		b.fail("Pairwise on tasks that are not two full fan-outs")
-	}
+	pairs(ts, deps)
 }
 
-// pairs makes each ts[i] wait for deps[i] and returns the edges made.
+// pairs makes each ts[i] wait for deps[i] and returns the number of
+// pairs.
 func pairs(ts, deps []*sim.Task) int {
 	for i, t := range ts {
 		t.After(deps[i])
@@ -409,85 +389,45 @@ func pairs(ts, deps []*sim.Task) int {
 // edge. It is a symmetric call when ts is off the declared replicas (an
 // edge out of a replica task gates no replica), or when ts is a full
 // Compute fan-out of a committed build (block) and every dep is off the
-// replicas (every replica's task waits for the same tasks).
+// replicas (every replica's task waits for the same tasks). The ghost
+// slots of a block, in ts or deps, get no edge: a ghost's edges out
+// would all come from its mirror, which then already gates every task
+// it would. A ghost anywhere else is refused, and nothing is wired.
 func (b *Builder) After(ts []*sim.Task, deps ...*sim.Task) {
-	block := b.block(ts)
-	edges, altered := b.wire(ts, block, deps)
+	if !b.declared() {
+		gates(deps, ts)
+		return
+	}
+	block, depBlock := b.block(ts), b.block(deps)
+	if !block && b.anyGhost(ts) || !depBlock && b.anyGhost(deps) {
+		b.fail("After on a ghost outside its fan-out")
+		return
+	}
+	kept := ts
+	if block {
+		kept = append(append(b.kept[:0], ts[:b.lo+1]...), ts[b.hi:]...)
+		b.kept = kept[:0]
+	}
+	var edges int
+	if depBlock {
+		edges = gates(deps[:b.lo+1], kept) + gates(deps[b.hi:], kept)
+	} else {
+		edges = gates(deps, kept)
+	}
 	if b.offReplicas(ts...) || block && b.offReplicas(deps...) {
 		b.made.Edges += edges
-	} else if b.committed && altered > 0 {
-		b.fail("After on tasks that are neither off the replicas nor a full fan-out")
 	}
 }
 
-// wire makes every task of ts wait for every non-nil dep and returns the
-// edges it made and the edges it left out or made from a mirror instead;
-// a call that is not symmetric must leave none out, for the census
-// counts only what was made. block says whether ts is a committed
-// fan-out (Builder.block).
-// A build that is not committed wires them all. A committed build wires
-// what the collapse would leave: no edge into a ghost, and an edge out
-// of a ghost made from its mirror (sim.Task.AfterMirror). The deps that
-// are not ghosts are wired first, so an edge the mirror makes itself is
-// never doubled by one made for a ghost. The ghost range of a committed
-// fan-out, in ts or deps, is handled by index: its tasks get no edge,
-// and its edges out would all come from its mirror, which then already
-// gates every task it would.
-func (b *Builder) wire(ts []*sim.Task, block bool, deps []*sim.Task) (edges, altered int) {
-	if !b.committed {
-		for _, d := range deps {
-			if d != nil {
-				edges += d.Gates(ts)
-			}
-		}
-		return edges, 0
-	}
-	kept, n := b.kept[:0], 0
+// gates makes every task of ts wait for every non-nil dep and returns
+// the edges it made.
+func gates(deps, ts []*sim.Task) (edges int) {
 	for _, d := range deps {
 		if d != nil {
-			n++
+			edges += d.Gates(ts)
 		}
 	}
-	if block {
-		kept = append(append(kept, ts[:b.lo+1]...), ts[b.hi:]...)
-		altered += n * (b.hi - b.lo - 1)
-	} else {
-		for _, t := range ts {
-			if t == nil {
-				continue
-			}
-			if b.ghost(t) {
-				altered += n
-			} else {
-				kept = append(kept, t)
-			}
-		}
-	}
-	if b.block(deps) {
-		for _, d := range deps[:b.lo+1] {
-			edges += d.Gates(kept)
-		}
-		for _, d := range deps[b.hi:] {
-			edges += d.Gates(kept)
-		}
-		altered += (b.hi - b.lo - 1) * len(kept)
-	} else {
-		for _, d := range deps {
-			if d != nil && !b.ghost(d) {
-				edges += d.Gates(kept)
-			}
-		}
-		for _, d := range deps {
-			if d != nil && b.ghost(d) {
-				for _, t := range kept {
-					edges += t.AfterMirror(d)
-				}
-				altered += len(kept)
-			}
-		}
-	}
-	b.kept = kept[:0]
-	return edges, altered
+	return edges
 }
 
 // declared reports whether the builder declared replicas.
@@ -496,13 +436,17 @@ func (b *Builder) declared() bool { return b.hi > b.lo }
 // isReplica reports whether the device is a declared replica.
 func (b *Builder) isReplica(device int) bool { return device >= b.lo && device < b.hi }
 
-// isGhost reports whether the device is a declared replica other than
-// the representative: one a collapse ghosts.
-func (b *Builder) isGhost(device int) bool { return device > b.lo && device < b.hi }
-
 // ghost reports whether t is a task a committed collapse ghosts: one on
-// a ghost device.
-func (b *Builder) ghost(t *sim.Task) bool { return b.isGhost(t.Streams()[0].Device()) }
+// a declared replica other than the representative.
+func (b *Builder) ghost(t *sim.Task) bool {
+	d := t.Streams()[0].Device()
+	return d > b.lo && d < b.hi
+}
+
+// anyGhost reports whether any of the (non-nil) tasks is a ghost.
+func (b *Builder) anyGhost(ts []*sim.Task) bool {
+	return slices.ContainsFunc(ts, func(t *sim.Task) bool { return t != nil && b.ghost(t) })
+}
 
 // offReplicas reports whether no stream of any of the (non-nil) tasks is
 // on a declared replica.
@@ -525,11 +469,11 @@ func (b *Builder) offReplicas(ts ...*sim.Task) bool {
 // replicas the engine made of ts[lo] in one call (sim.Engine.ReplicasOf),
 // and every other slot a task on its own device. Wiring then handles the
 // ghost slots by index and reads none of their tasks. A fan-out with a
-// slot swapped, or a copy with one slot changed, is not a block: it is
-// wired task by task, and the call, not symmetric, is refused. A build
-// that is not committed checks no symmetry, so nothing is a block.
+// slot swapped, or a copy with one slot changed, is not a block, and a
+// call that wires its ghosts is refused. A build that declares nothing
+// checks no symmetry, so nothing is a block.
 func (b *Builder) block(ts []*sim.Task) bool {
-	if !b.committed || len(ts) != len(b.streams) || ts[b.lo] == nil ||
+	if !b.declared() || len(ts) != len(b.streams) || ts[b.lo] == nil ||
 		!slices.Equal(ts[b.lo+1:b.hi], b.Eng.ReplicasOf(ts[b.lo])) {
 		return false
 	}

@@ -77,8 +77,8 @@ type Plan struct {
 	compute     []*sim.Stream
 	// replicas are the devices a committed builder declared
 	// rank-symmetric, and census its tally of what it made through
-	// symmetric calls; nil replicas on a plan that wires every edge (see
-	// DeclaredClasses).
+	// symmetric calls; nil replicas on a plan whose builder declared
+	// nothing (see DeclaredClasses).
 	replicas []int
 	census   sim.Census
 	// alias maps every device to its class representative after a
@@ -107,12 +107,12 @@ func (p *Plan) Run() error {
 // over the tasks (sim.Engine.CollapseDeclared). It has no other way to
 // run: if the engine's Census no longer equals its builder's tally, or
 // the ledger cannot collapse the class, RunContext returns an error
-// wrapping ErrAsymmetric and simulates nothing. A plan that wires every
-// edge (DDP, TP, pipeline) has its classes proved by DetectClasses, and
-// the collectives veto unsafe classes (mergeableClasses) before
-// Collapse. Collapse requires a deterministic rate model; jittered
-// clusters always run in full, and so do a plan not made by Builder and
-// a FullGraph plan.
+// wrapping ErrAsymmetric and simulates nothing. A plan that declares
+// nothing wires every edge (DDP, TP, pipeline) and has its classes
+// proved by DetectClasses, and the collectives veto unsafe classes
+// (mergeableClasses) before Collapse. Collapse requires a deterministic
+// rate model; jittered clusters, which declare nothing, always run in
+// full, and so do a plan not made by Builder and a FullGraph plan.
 func (p *Plan) RunContext(ctx context.Context) error {
 	if p.ran {
 		return fmt.Errorf("exec: plan already ran")

@@ -101,11 +101,10 @@ func (p *Plan) SymmetryClasses() []sim.Class {
 
 // DeclaredClasses returns the device partition a committed plan's
 // builder declared — every declared replica in one class, every other
-// device alone, in the order DetectClasses lists them — or nil when the
-// plan is not committed: its builder declared nothing, or it wires every
-// edge because its cluster is jittered or it was built as a FullGraph
-// reference (see Builder). Whether the engine still holds only what the
-// builder's symmetric calls made is RunContext's check.
+// device alone, in the order DetectClasses lists them — or nil when its
+// builder declared nothing, as on a jittered cluster and in a FullGraph
+// build (see Builder.DeclareReplicas). Whether the engine still holds
+// only what the builder's symmetric calls made is RunContext's check.
 func (p *Plan) DeclaredClasses() []sim.Class {
 	if p.replicas == nil {
 		return nil

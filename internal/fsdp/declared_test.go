@@ -133,10 +133,10 @@ func TestDeclarationGuard(t *testing.T) {
 }
 
 // TestDeclaredPlanSkipsDetection proves a committed FSDP plan never
-// falls back to DetectClasses or to a full run. With every mirror
-// cleared after the build, the ghost ledger cannot collapse the class;
-// with an empty stream added, the census fails. Either way RunContext
-// refuses the plan before anything runs.
+// falls back to DetectClasses or to a full run. With the ghost ledger
+// voided by a detection pass after the build, it cannot collapse the
+// class; with an empty stream added, the census fails. Either way
+// RunContext refuses the plan before anything runs.
 func TestDeclaredPlanSkipsDetection(t *testing.T) {
 	for _, mode := range []exec.Mode{exec.Overlapped, exec.Sequential} {
 		for _, census := range []bool{false, true} {
@@ -145,9 +145,7 @@ func TestDeclaredPlanSkipsDetection(t *testing.T) {
 					b.Eng.NewStream("extra", 0)
 					return
 				}
-				for _, task := range plan.Engine.Tasks() {
-					task.SetMirror(nil)
-				}
+				plan.Engine.DetectClasses(exec.PayloadEq)
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -231,22 +231,11 @@ func (t *Task) OnDone(f func(now float64)) *Task {
 }
 
 // Mirror returns the task's class-representative counterpart (see
-// symmetry.go), or nil when none is recorded.
+// symmetry.go), or nil when none is recorded. Mirrors have two writers:
+// Engine.NewReplicas, through which a builder that declares its
+// symmetry writes them as it fans a kernel out, and DetectClasses,
+// which writes them as it proves a class.
 func (t *Task) Mirror() *Task { return t.mirror }
-
-// SetMirror records rep as the task's class-representative counterpart:
-// the task on the representative device whose timeline t reports once
-// Collapse has ghosted t. A nil rep clears it. Mirrors have two other
-// writers: Engine.NewReplicas, through which a builder that declares
-// its symmetry writes them as it fans a kernel out, and DetectClasses,
-// which writes them as it proves a class. A mirror written here or by
-// DetectClasses voids the engine's ghost ledger (see CollapseDeclared).
-func (t *Task) SetMirror(rep *Task) {
-	t.mirror = rep
-	if t.eng != nil {
-		t.eng.ledger.void = true
-	}
-}
 
 // Stream is a FIFO command queue. Tasks enqueued on a stream execute in
 // order; at most one task per stream runs at a time.

@@ -23,13 +23,14 @@ import (
 // whose ranks are symmetric by construction declares them: it makes each
 // fan-out's replica tasks in one NewReplicas call, which writes their
 // mirror and records where they sit in creation order, wires no edge
-// into a replica and makes each edge out of one from its mirror
-// (AfterMirror), and checks through Census that the engine holds nothing
-// it did not make through its symmetric calls; FSDP plans on
-// deterministic clusters do this. It tells its fan-outs apart from other
-// task lists by pointer identity with ReplicasOf, so it wires a fan-out
-// without reading its replicas. That ghost ledger lets CollapseDeclared
-// collapse the class in O(fan-outs) without walking the tasks.
+// into or out of a replica, for its mirror already makes every edge a
+// replica's would become, and checks through Census that the engine
+// holds nothing it did not make through its symmetric calls; FSDP plans
+// on deterministic clusters do this. It tells its fan-outs apart from
+// other task lists by pointer identity with ReplicasOf, so it wires a
+// fan-out without reading its replicas. That ghost ledger lets
+// CollapseDeclared collapse the class in O(fan-outs) without walking the
+// tasks.
 // DetectClasses proves symmetry structurally instead, trusting no
 // builder's word, one device at a time against the representatives of
 // the classes found so far: it serves the plans that declare nothing
@@ -80,7 +81,7 @@ type Class struct {
 // result also records, on every task of a non-representative member,
 // which representative task mirrors it — Collapse consumes that mapping.
 // It overwrites any mirror a builder declared on those tasks, and so
-// voids the ghost ledger. A declared plan that wires no edge into or out
+// voids the ghost ledger: it is the one thing that does. A declared plan that wires no edge into or out
 // of its replicas gives the detector nothing to pair them by; the
 // detector is for plans that wire every edge.
 //
@@ -247,7 +248,8 @@ devices:
 // Collapse walks the tasks in creation order twice: a validity pass
 // (every task of a non-representative member is a pending single-stream
 // task with a pending mirror on its class's representative device, else
-// its class is skipped entirely — mirrors have more than one writer),
+// its class is skipped entirely — mirrors have two writers,
+// NewReplicas and DetectClasses),
 // and a marking pass that ghosts the valid classes' tasks into a list
 // sized by the first pass; a transfer pass then walks the ghosts'
 // successor lists. Every ghost is marked before any edge moves, so
@@ -256,8 +258,7 @@ devices:
 // in-degree is decremented at collapse time instead, and the entry the
 // mirror holds keeps it gated until the mirror — and so every member —
 // finishes. Only edges into successors the mirror does not gate yet are
-// appended (the rule AfterMirror applies as a declaring builder wires).
-// With no multi-member class Collapse makes no pass at all.
+// appended. With no multi-member class Collapse makes no pass at all.
 // CollapseDeclared reaches the same state from a builder's ledger
 // without these passes.
 //
@@ -389,8 +390,8 @@ func (t *Task) ghostify() {
 // fan-out, never a list of the replicas.
 type ledger struct {
 	spans []span
-	// void is set once the ledger can no longer stand for the class: a
-	// mirror was written outside NewReplicas.
+	// void is set once the ledger can no longer stand for the class:
+	// DetectClasses rewrote the mirrors.
 	void bool
 }
 
@@ -458,26 +459,6 @@ func (e *Engine) ReplicasOf(rep *Task) []*Task {
 	return e.tasks[s.from:s.to:s.to]
 }
 
-// AfterMirror makes t wait for g's mirror where it would wait for g:
-// the edge Collapse's transfer leaves in place of an edge out of g once
-// it ghosts g. It adds nothing when the mirror already gates t, and it
-// wires g itself when g has no mirror. It returns the number of edges
-// added. A builder that declares its ranks symmetric wires an edge out
-// of a future ghost this way, so the collapse has no edge to transfer.
-func (t *Task) AfterMirror(g *Task) int {
-	m := g.mirror
-	if m == nil {
-		m = g
-	} else if slices.Contains(m.succs, t) {
-		return 0
-	}
-	if m.st == stateDone {
-		return 0
-	}
-	t.After(m)
-	return 1
-}
-
 // CollapseDeclared collapses a declared class through the ghost ledger
 // and returns the number of ghost tasks, leaving the engine in the state
 // Collapse would: the ledger's replicas become ghosts. It reads neither
@@ -486,12 +467,13 @@ func (t *Task) AfterMirror(g *Task) int {
 //
 // The caller vouches that the ledger's ranges hold every task of the
 // class's members but the first, and that no edge runs into one of them
-// or out of one: every edge out of a replica was made from its mirror
-// instead (Task.AfterMirror), so there is nothing to transfer. exec.Plan
-// holds its builder to that with a census. CollapseDeclared reports
-// false and changes nothing when the ledger cannot stand for the class:
-// it is void, a range's mirror is not on the class representative, or
-// the engine has run or collapsed.
+// or out of one: the mirror of each makes every edge the replica's would
+// become, so there is nothing to transfer. exec.Plan holds its builder
+// to that with a census and refuses a ghost wired outside its fan-out.
+// CollapseDeclared reports false and changes nothing when the ledger
+// cannot stand for the class: DetectClasses voided it, a range's mirror
+// is not on the class representative, or the engine has run or
+// collapsed.
 func (e *Engine) CollapseDeclared(c Class) (int, bool) {
 	l := &e.ledger
 	if l.void || e.ran || e.stCollapsed > 0 {

@@ -393,7 +393,7 @@ func TestCollapseRejectsForeignMirror(t *testing.T) {
 	}
 	e, tasks := symDAG(4, 6, nil)
 	classes := e.DetectClasses(intEq)
-	tasks[2][3].SetMirror(tasks[3][3])
+	tasks[2][3].mirror = tasks[3][3]
 	if got := e.Collapse(classes); got != 0 {
 		t.Fatalf("Collapse ghosted %d tasks through a foreign mirror", got)
 	}
@@ -469,9 +469,9 @@ func TestGatesMatchesAfter(t *testing.T) {
 // it: slot by slot, each slot's rank-0 task fanned out to the other
 // ranks as its replicas (NewReplicas), and a sink waiting for every
 // rank's last slot. A committed build wires what the collapse
-// leaves: no edge into a replica, and the sink's edges from replicas
-// made from their mirror (AfterMirror). Returns the engine and the
-// fan-outs by [slot][rank].
+// leaves: no edge into or out of a replica, and the sink's one edge
+// from the replicas' mirror. Returns the engine and the fan-outs by
+// [slot][rank].
 func declaredDAG(ranks, slots int, committed bool) (*Engine, [][]*Task) {
 	e := NewEngine(PlatformFunc(flatRate))
 	shared := e.NewStream("shared", ranks)
@@ -496,12 +496,10 @@ func declaredDAG(ranks, slots int, committed bool) (*Engine, [][]*Task) {
 		}
 	}
 	sink := e.NewTask("sink", KindCompute, 1, 101, shared)
-	for _, d := range fans[slots-1] {
-		if committed {
-			sink.AfterMirror(d)
-		} else {
-			sink.After(d)
-		}
+	if committed {
+		sink.After(fans[slots-1][0])
+	} else {
+		sink.After(fans[slots-1]...)
 	}
 	return e, fans
 }
@@ -567,41 +565,6 @@ func TestCollapseDeclaredMatchesCollapse(t *testing.T) {
 	requireSameSchedule(t, full, e)
 }
 
-// TestAfterMirror: an edge out of a replica is made from its mirror,
-// once, and not at all when the mirror already gates the task; the
-// rewired task still waits for the mirror, so the collapsed run keeps
-// the full run's schedule.
-func TestAfterMirror(t *testing.T) {
-	const ranks, slots = 3, 2
-	build := func(committed bool) (*Engine, *Task) {
-		e, fans := declaredDAG(ranks, slots, committed)
-		solo := e.NewTask("solo", KindCompute, 2, 7, e.NewStream("solo", ranks+1))
-		for _, d := range fans[0][1:] { // replicas only: the mirror is not among them
-			if committed {
-				solo.AfterMirror(d)
-			} else {
-				solo.After(d)
-			}
-		}
-		return e, solo
-	}
-	full, _ := build(false)
-	if err := full.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e, solo := build(true)
-	if solo.deps != 1 {
-		t.Fatalf("solo waits on %d edges, want 1 from the mirror", solo.deps)
-	}
-	if n, ok := e.CollapseDeclared(Class{Members: []int{0, 1, 2}}); !ok || n != (ranks-1)*slots {
-		t.Fatalf("CollapseDeclared = %d, %v", n, ok)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	requireSameSchedule(t, full, e)
-}
-
 // TestLedgerVoids: whatever the ledger cannot vouch for makes
 // CollapseDeclared decline without touching the engine, and Collapse,
 // which the caller then calls, still reproduces the full run.
@@ -613,9 +576,6 @@ func TestLedgerVoids(t *testing.T) {
 		mutate func(e *Engine, fans [][]*Task)
 		class  Class
 	}{
-		{"mirror written by SetMirror", func(e *Engine, fans [][]*Task) {
-			fans[1][2].SetMirror(fans[1][0])
-		}, classes[0]},
 		{"mirrors rewritten by DetectClasses", func(e *Engine, fans [][]*Task) {
 			e.DetectClasses(intEq)
 		}, classes[0]},
@@ -811,7 +771,7 @@ func TestNewReplicasMatchesTaskByTask(t *testing.T) {
 	}
 	t.Run("void ledger", func(t *testing.T) {
 		e, out := replicaFans(3, 2, 0, true)
-		out[1][2].SetMirror(out[1][0])
+		e.DetectClasses(intEq)
 		if got := e.ReplicasOf(out[0][0]); got != nil {
 			t.Fatalf("ReplicasOf on a void ledger = %d tasks", len(got))
 		}

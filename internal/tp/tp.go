@@ -167,12 +167,6 @@ func (b *builder) newGroupCompute(name string, gr int, op exec.Op) []*sim.Task {
 	return b.Compute(name, op, gr*b.d, (gr+1)*b.d)
 }
 
-func after(ts []*sim.Task, deps ...*sim.Task) {
-	for _, t := range ts {
-		t.After(deps...)
-	}
-}
-
 // shard scales a kernel descriptor to the 1/d slice one tensor-parallel
 // rank executes: FLOPs and HBM traffic divide by d, and the
 // output/reduction shape of the headline GEMM shrinks accordingly.
@@ -275,26 +269,24 @@ func (b *builder) buildIteration(it int) {
 		agAttnP, fwdAttnP, rsAttnP := tag+".ag.attn.l", tag+".fwd.attn.l", tag+".rs.attn.l"
 		agMlpP, fwdMlpP, rsMlpP := tag+".ag.mlp.l", tag+".fwd.mlp.l", tag+".rs.mlp.l"
 		embed := b.newGroupCompute(tag+".fwd.embed", gr, ds.embedF)
-		after(embed, b.Last[gr*b.d:(gr+1)*b.d]...)
+		b.After(embed, b.Last[gr*b.d:(gr+1)*b.d]...)
 		prevC[gr] = embed
 		for l := 0; l < L; l++ {
 			ag1 := b.newGroupColl(b.Name(agAttnP, l), gr, collective.AllGather, ds.actBytes)
-			after([]*sim.Task{ag1}, prevC[gr]...)
+			b.After([]*sim.Task{ag1}, prevC[gr]...)
 			ag1.After(prevGate[gr])
 			attn := b.newGroupCompute(b.Name(fwdAttnP, l), gr, ds.attnF)
-			for i, t := range attn {
-				t.After(ag1, prevC[gr][i])
-			}
+			b.After(attn, ag1)
+			b.Pairwise(attn, prevC[gr])
 			rs1 := b.newGroupColl(b.Name(rsAttnP, l), gr, collective.ReduceScatter, ds.actBytes)
-			after([]*sim.Task{rs1}, attn...)
+			b.After([]*sim.Task{rs1}, attn...)
 			ag2 := b.newGroupColl(b.Name(agMlpP, l), gr, collective.AllGather, ds.actBytes)
 			ag2.After(rs1)
 			mlp := b.newGroupCompute(b.Name(fwdMlpP, l), gr, ds.mlpF)
-			for i, t := range mlp {
-				t.After(ag2, attn[i])
-			}
+			b.After(mlp, ag2)
+			b.Pairwise(mlp, attn)
 			rs2 := b.newGroupColl(b.Name(rsMlpP, l), gr, collective.ReduceScatter, ds.actBytes)
-			after([]*sim.Task{rs2}, mlp...)
+			b.After([]*sim.Task{rs2}, mlp...)
 			prevC[gr], prevGate[gr] = mlp, rs2
 		}
 
@@ -302,21 +294,19 @@ func (b *builder) buildIteration(it int) {
 		// logits + loss, and all-reduce the loss statistics (vocab
 		// parallelism's softmax denominator exchange).
 		agH := b.newGroupColl(tag+".ag.head", gr, collective.AllGather, ds.actBytes)
-		after([]*sim.Task{agH}, prevC[gr]...)
+		b.After([]*sim.Task{agH}, prevC[gr]...)
 		agH.After(prevGate[gr])
 		hf := b.newGroupCompute(tag+".fwd.lmhead", gr, ds.headF)
-		for i, t := range hf {
-			t.After(agH, prevC[gr][i])
-		}
+		b.After(hf, agH)
+		b.Pairwise(hf, prevC[gr])
 		arLoss := b.newGroupColl(tag+".ar.loss", gr, collective.AllReduce, ds.lossBytes)
-		after([]*sim.Task{arLoss}, hf...)
+		b.After([]*sim.Task{arLoss}, hf...)
 		hb := b.newGroupCompute(tag+".bwd.head", gr, ds.headB)
-		for i, t := range hb {
-			t.After(arLoss, hf[i])
-		}
+		b.After(hb, arLoss)
+		b.Pairwise(hb, hf)
 		headBT[gr] = hb
 		rsH := b.newGroupColl(tag+".rs.head", gr, collective.ReduceScatter, ds.actBytes)
-		after([]*sim.Task{rsH}, hb...)
+		b.After([]*sim.Task{rsH}, hb...)
 		prevC[gr], prevGate[gr] = hb, rsH
 	}
 
@@ -341,22 +331,19 @@ func (b *builder) buildIteration(it int) {
 			agB := b.newGroupColl(b.Name(agBwdP[gr], l), gr, collective.AllGather, ds.actBytes)
 			agB.After(prevGate[gr])
 			dg := b.newGroupCompute(b.Name(dgradP[gr], l), gr, ds.dgrad)
-			for i, t := range dg {
-				t.After(agB, prevGate[gr], prevC[gr][i])
-			}
+			b.After(dg, agB, prevGate[gr])
+			b.Pairwise(dg, prevC[gr])
 			rsB := b.newGroupColl(b.Name(rsBwdP[gr], l), gr, collective.ReduceScatter, ds.actBytes)
-			after([]*sim.Task{rsB}, dg...)
+			b.After([]*sim.Task{rsB}, dg...)
 			wg := b.newGroupCompute(b.Name(wgradP[gr], l), gr, ds.wgrad)
-			for i, t := range wg {
-				t.After(dg[i])
-			}
+			b.Pairwise(wg, dg)
 			lastWg[gr] = wg
 			prevC[gr], prevGate[gr] = dg, rsB
 		}
 		if b.groups > 1 {
 			ar := b.newDPAllReduce(b.Name(arDpPrefix, l), ds.layerShard)
 			for gr := 0; gr < b.groups; gr++ {
-				after([]*sim.Task{ar}, lastWg[gr]...)
+				b.After([]*sim.Task{ar}, lastWg[gr]...)
 			}
 			dpARs = append(dpARs, ar)
 		}
@@ -364,8 +351,8 @@ func (b *builder) buildIteration(it int) {
 	if b.groups > 1 {
 		ar := b.newDPAllReduce(fmt.Sprintf("it%d.ar.dp.embed", it), ds.embedShard)
 		for gr := 0; gr < b.groups; gr++ {
-			after([]*sim.Task{ar}, lastWg[gr]...)
-			after([]*sim.Task{ar}, headBT[gr]...)
+			b.After([]*sim.Task{ar}, lastWg[gr]...)
+			b.After([]*sim.Task{ar}, headBT[gr]...)
 		}
 		dpARs = append(dpARs, ar)
 	}
@@ -374,10 +361,10 @@ func (b *builder) buildIteration(it int) {
 	// chain, its last weight gradients, and every cross-group reduction.
 	for gr := 0; gr < b.groups; gr++ {
 		opt := b.newGroupCompute(fmt.Sprintf("it%d.g%d.opt", it, gr), gr, ds.opt)
-		for i, t := range opt {
-			t.After(prevGate[gr], prevC[gr][i], lastWg[gr][i])
-			t.After(dpARs...)
-		}
+		b.After(opt, prevGate[gr])
+		b.Pairwise(opt, prevC[gr])
+		b.Pairwise(opt, lastWg[gr])
+		b.After(opt, dpARs...)
 		copy(b.Last[gr*b.d:], opt)
 	}
 }
