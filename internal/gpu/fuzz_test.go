@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"overlapsim/internal/collective"
@@ -386,6 +387,28 @@ func FuzzClusterRates(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0, 1, 16, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 3, 3, 3, 3})
 	f.Add([]byte{4, 0, 1, 1, 5, 2, 0, 5, 0, 0, 1, 1, 3, 0, 0, 6, 6, 1, 0, 0, 4, 0, 4, 0, 4, 0, 2, 0, 4, 1, 3, 4, 0, 4, 1})
 	f.Add([]byte{3, 1, 2, 1, 9, 3, 1, 6, 0, 2, 3, 0, 0, 0, 1, 6, 0, 1, 1, 1, 2, 4, 0, 4, 1, 4, 0, 1, 4, 1, 2, 2, 4, 0})
+	// A gated all-reduce whose gate flips while it is not running, so it
+	// enters released, and later enters waiting and is released by a flip.
+	f.Add([]byte{0, 0, 0, 1, 1, 7, 0,
+		0, 2, 0, 3, 0, 1, 0, 0, 0, 0, 0, 2, 0, 1, 0, 1, 0, 0, 3, 0, 1, 0, 0, 6,
+		0, 1, 1, 5, 2, 0, 1, 5, 0, 0, 1, 5, 2, 0, 1, 5, 0, 2, 1, 5, 0, 0, 1, 5, 2, 0, 1, 5, 0, 0, 0, 2, 0, 1, 5})
+	// Gated SendRecvs that enter waiting, on their destination only, and
+	// are released onto both endpoints (one prepared, one not), then one
+	// is gated again while running.
+	f.Add([]byte{1, 0, 0, 1, 1, 9, 0,
+		0, 2, 3, 2, 1, 1, 0, 2, 1, 1, 3, 2, 1, 1, 1, 0, 0, 0, 0, 4, 0, 1, 0, 2, 3, 3, 4, 0, 0, 0,
+		0, 1, 1, 3, 0, 2, 1, 3, 0, 0, 1, 3, 2, 0, 1, 3, 0, 3, 1, 4, 2, 1, 1, 4, 0, 0, 1, 2, 2, 1, 1, 2, 0, 3, 1, 2})
+	// Tasks that enter below the sequence numbers of the tasks their
+	// device runs, one at a time and several in one epoch.
+	f.Add([]byte{0, 0, 2, 1, 1, 3, 0,
+		0, 0, 0, 1, 3, 0, 2, 0, 0, 1, 1, 2, 1, 0, 0, 2, 1, 5, 0, 0, 0, 1, 0, 0, 2, 2, 0, 1, 0, 1, 3, 2, 6, 0, 1, 0, 0,
+		1, 0, 1, 0, 1, 1, 10, 0, 3, 1, 10, 0, 0, 1, 10, 0, 0, 1, 10, 0, 1, 1, 10, 1, 0, 0, 0, 0, 1, 10, 1, 0, 0, 0, 0, 1, 10, 2, 0, 1, 10, 0, 2, 0})
+	// A capped device whose solve moves its frequency for several epochs
+	// of one running set, so it must stay dirty until the move stops.
+	f.Add([]byte("001000A00000100110008"))
+	// Released comms that enter in one epoch, in reverse creation order,
+	// and must draw their jitter in creation order.
+	f.Add([]byte("000010000000000000Y1000000000000001000000000C00000000000009000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzBytes{b: data}
 		n := 2 + in.pick(5)
@@ -541,6 +564,7 @@ func FuzzClusterRates(f *testing.F) {
 		tasksA, tasksB := build(), build()
 
 		in2 := make([]bool, len(specs))
+		was := make([]bool, len(specs)) // in2 at the last Rates call
 		now := 0.0
 		for epoch := 0; epoch < 48; epoch++ {
 			switch in.pick(5) {
@@ -568,14 +592,24 @@ func FuzzClusterRates(f *testing.F) {
 				}
 			default: // unchanged running set
 			}
-			var runA, runB []*sim.Task
+			var runA, runB, entered, left []*sim.Task
 			for i, on := range in2 {
 				if on {
 					runA = append(runA, tasksA[i])
 					runB = append(runB, tasksB[i])
 				}
+				switch {
+				case on && !was[i]:
+					entered = append(entered, tasksA[i])
+				case !on && was[i]:
+					left = append(left, tasksA[i])
+				}
 			}
-			cl.Rates(now, runA)
+			copy(was, in2)
+			// The engine reports the delta in admission order, not
+			// creation order.
+			slices.Reverse(entered)
+			cl.Rates(now, runA, entered, left)
 			ref.Rates(runB)
 			for i := range runA {
 				if a, b := runA[i].Rate(), runB[i].Rate(); math.Float64bits(a) != math.Float64bits(b) {

@@ -22,21 +22,32 @@
 // does, calling jitterFor for the same task at the same point, so the
 // generator's draw order is unchanged.
 //
-// A device whose key equals its last solve's key, with the same compute
-// task, is skipped outright: equal keys mean its frequency did not move
-// (the last solve ended at a bitwise fixed point), so its frequency and
-// its task's rate are already what a solve would write, and Segment
-// reuses the watts it priced after that solve. Partitions the key cannot
-// hold — a kernel that was never prepared (kernels.Desc.CostOn returns a
-// fresh Cost), or more tasks than its fixed width — are solved afresh
-// every epoch. Devices without compute are keyed for the skip but never
-// memoized: their solve is a few multiplications, and they made more
-// than half of a paper-grid sweep's memo entries.
+// The model is also incremental. The engine hands Rates the tasks that
+// entered and left the running set, and the cluster keeps each device's
+// share of it (its partition) across epochs, in creation order. A change
+// marks the touched devices dirty, and only dirty devices are solved: a
+// device whose running kernels, collectives and gate bits did not change
+// keeps its rates, because a solve is a pure function of those and of
+// its starting frequency. That frequency is the last solve's result, so
+// a device with compute stays dirty while its last solve moved its
+// frequency, and is left alone once a solve ends at a bitwise fixed point.
+//
+// A dirty device whose key equals its last solve's key, with the same
+// compute task, is skipped outright: equal keys mean its frequency did
+// not move, so its frequency and its task's rate are already what a solve
+// would write, and Segment reuses the watts it priced after that solve.
+// Partitions the key cannot hold — a kernel that was never prepared
+// (kernels.Desc.CostOn returns a fresh Cost, priced once when the task
+// enters), or more tasks than its fixed width — are solved afresh
+// whenever they are dirty. Devices without compute are keyed for the
+// skip but never memoized: their solve is a few multiplications, and they
+// made more than half of a paper-grid sweep's memo entries.
 package gpu
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -74,12 +85,14 @@ type Config struct {
 // hierarchical fabric. It implements sim.Platform (rate assignment) and
 // sim.Observer (power integration).
 //
-// Every epoch Rates partitions the running set by device and solves each
-// device through the memo (see the package comment), skipping a device
-// whose key and compute tasks are those of its last solve. Segment
-// reuses a skipped device's watts once they have been priced for the
-// solved state. Both shortcuts reproduce the full recompute bit for bit;
-// FuzzClusterRates checks them against a reference copy of it.
+// Rates applies the engine's running-set delta to the device partitions
+// it keeps across epochs and solves the dirty devices through the memo
+// (see the package comment), skipping a device whose key and compute
+// tasks are those of its last solve. Segment integrates the partitions
+// and frequencies of the preceding Rates call, reusing each device's
+// watts until a change unprices them. These shortcuts reproduce the full
+// per-epoch recompute bit for bit; FuzzClusterRates checks them against
+// a reference copy of it.
 type Cluster struct {
 	cfg      Config
 	n        int
@@ -91,8 +104,16 @@ type Cluster struct {
 	rng      *rand.Rand
 	jitter   []float64 // each task's multiplier by creation index (Task.Seq), 0 until drawn
 
-	// dev holds each device's per-epoch partition and last solve.
-	dev []device
+	// dev holds each device's partition and last solve. dirty is the set
+	// of devices the next Rates solves, one bit per device.
+	dev   []device
+	dirty []uint64
+
+	// gated lists the running comms that have a gate, for the poll that
+	// catches gate flips; stale holds the comms whose rate the current
+	// Rates call sets, in creation order.
+	gated []gatedComm
+	stale []rating
 
 	// memo maps solve inputs to outputs (see solveKey); it is cleared
 	// whenever it reaches memoCap entries. solves counts the solves that
@@ -100,13 +121,6 @@ type Cluster struct {
 	memo    map[solveKey]solution
 	solves  int
 	inserts int
-
-	// partFresh marks the partition as computed by Rates for the
-	// current epoch; Segment observes the identical running set
-	// immediately after and skips repartitioning. partLen guards the
-	// reuse against out-of-band Segment calls.
-	partFresh bool
-	partLen   int
 
 	// idleFreq and idleW are the DVFS solution and power draw of a fully
 	// idle device — constant for a given cap configuration, precomputed so
@@ -164,14 +178,11 @@ type solution struct {
 	freq, rate float64
 }
 
-// device is one GPU's running-set partition for the current epoch plus
-// the record of its last solve.
+// device is one GPU's partition of the running set, kept in creation
+// (Task.Seq) order across epochs, plus the record of its last solve.
 type device struct {
-	compute  []*sim.Task
-	costs    []*kernels.Cost // cost of each compute task on the cluster's GPU
-	comms    []*sim.Task
-	waiting  []bool // gate bit of each comm this epoch
-	prepared bool   // every cost is a prepared descriptor's shared Cost
+	compute []kernel
+	comms   []comm
 
 	// key and task are the last solve's key and compute task (nil
 	// without compute); keyed marks them valid (the last solve fit the
@@ -181,9 +192,104 @@ type device struct {
 	keyed bool
 
 	// watts is the segment power priced for the solved state; priced
-	// marks it valid. Every solve clears priced.
+	// marks it valid. A change to the partition or a solve clears it.
 	watts  float64
 	priced bool
+}
+
+// kernel is a running compute task with its cost on the cluster's GPU,
+// priced when it entered; prepared marks a prepared descriptor's shared
+// Cost, which the memo key may hold.
+type kernel struct {
+	t        *sim.Task
+	cost     *kernels.Cost
+	prepared bool
+}
+
+// comm is a running collective on one of its devices with its gate bit.
+type comm struct {
+	t       *sim.Task
+	waiting bool
+}
+
+// gatedComm is a running comm with a gate, the gate itself (so a poll
+// reads no payload) and the gate bit its placement was made with.
+type gatedComm struct {
+	t       *sim.Task
+	gate    collective.Gate
+	waiting bool
+}
+
+// rating is a comm whose rate is due: 0 while waiting, its wire
+// bandwidth times its jitter otherwise.
+type rating struct {
+	t       *sim.Task
+	wire    float64
+	waiting bool
+}
+
+// insertKernel, insertComm and insertRating insert an entry into a list
+// kept in creation (Task.Seq) order. Tasks mostly enter after the ones
+// already listed, so the scan runs from the end. They are written per
+// type: a generic version calls the entry's accessor through a
+// dictionary, uninlined, which a lock-step run pays on every epoch.
+func insertKernel(s []kernel, k kernel) []kernel {
+	i := len(s)
+	for i > 0 && s[i-1].t.Seq() > k.t.Seq() {
+		i--
+	}
+	s = append(s, k)
+	if i < len(s)-1 {
+		copy(s[i+1:], s[i:])
+		s[i] = k
+	}
+	return s
+}
+
+func insertComm(s []comm, cm comm) []comm {
+	i := len(s)
+	for i > 0 && s[i-1].t.Seq() > cm.t.Seq() {
+		i--
+	}
+	s = append(s, cm)
+	if i < len(s)-1 {
+		copy(s[i+1:], s[i:])
+		s[i] = cm
+	}
+	return s
+}
+
+func insertRating(s []rating, r rating) []rating {
+	i := len(s)
+	for i > 0 && s[i-1].t.Seq() > r.t.Seq() {
+		i--
+	}
+	s = append(s, r)
+	if i < len(s)-1 {
+		copy(s[i+1:], s[i:])
+		s[i] = r
+	}
+	return s
+}
+
+// removeKernel and removeComm remove t's entry, found by pointer;
+// removeKernel also reports whether t was listed.
+func removeKernel(s []kernel, t *sim.Task) ([]kernel, bool) {
+	for i := range s {
+		if s[i].t == t {
+			return append(s[:i], s[i+1:]...), true
+		}
+	}
+	return s, false
+}
+
+func removeComm(s []comm, t *sim.Task) []comm {
+	for i := range s {
+		if s[i].t == t {
+			return append(s[:i], s[i+1:]...)
+		}
+	}
+	return s
 }
 
 // unchanged reports whether the device's partition, starting from
@@ -197,17 +303,17 @@ func (d *device) unchanged(f float64) bool {
 	}
 	var task *sim.Task
 	if len(d.compute) == 1 {
-		task = d.compute[0]
+		task = d.compute[0].t
 	}
 	if task != d.task {
 		return false
 	}
 	var waiting uint8
-	for i, t := range d.comms {
-		if t != k.comms[i] {
+	for i, cm := range d.comms {
+		if cm.t != k.comms[i] {
 			return false
 		}
-		if d.waiting[i] {
+		if cm.waiting {
 			waiting |= 1 << i
 		}
 	}
@@ -218,34 +324,23 @@ func (d *device) unchanged(f float64) bool {
 // partition, starting from frequency f, and reports whether the
 // partition fits the key.
 func (d *device) rekey(f float64) bool {
-	d.keyed = d.prepared && len(d.compute) <= 1 && len(d.comms) <= keyComms
+	d.keyed = len(d.comms) <= keyComms &&
+		(len(d.compute) == 0 || len(d.compute) == 1 && d.compute[0].prepared)
 	if !d.keyed {
 		return false
 	}
 	d.key, d.task = solveKey{}, nil
 	if len(d.compute) == 1 {
-		d.task, d.key.cost, d.key.freq = d.compute[0], d.costs[0], math.Float64bits(f)
+		k := d.compute[0]
+		d.task, d.key.cost, d.key.freq = k.t, k.cost, math.Float64bits(f)
 	}
-	for i, t := range d.comms {
-		d.key.comms[i] = t
-		if d.waiting[i] {
+	for i, cm := range d.comms {
+		d.key.comms[i] = cm.t
+		if cm.waiting {
 			d.key.waiting |= 1 << i
 		}
 	}
 	return true
-}
-
-// clear empties the partition.
-func (d *device) clear() {
-	d.compute, d.costs = d.compute[:0], d.costs[:0]
-	d.comms, d.waiting = d.comms[:0], d.waiting[:0]
-	d.prepared = true
-}
-
-// reset clears the partition and forgets the last solve.
-func (d *device) reset() {
-	d.clear()
-	d.keyed, d.priced = false, false
 }
 
 var (
@@ -271,12 +366,14 @@ func New(cfg Config) (*Cluster, error) {
 		freq:   make([]float64, n),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		dev:    make([]device, n),
+		dirty:  make([]uint64, (n+63)/64),
 		memo:   make(map[solveKey]solution),
 		active: make([]int, n),
 	}
 	for i := range c.freq {
 		c.freq[i] = 1
 		c.active[i] = i
+		c.markDirty(i)
 	}
 	for i := 0; i < n; i++ {
 		s, err := power.NewSampler(interval)
@@ -360,78 +457,175 @@ func (c *Cluster) jitterFor(t *sim.Task) float64 {
 	return j
 }
 
-// partition groups the running tasks by device into compute and comm
-// sets, with each compute task's cost and each comm's gate bit. Aliased
-// (collapsed) devices are excluded: their timelines come from the class
-// representative, so accumulating per-epoch comm sets for them would
-// re-introduce the O(ranks) cost the collapse removed.
-func (c *Cluster) partition(running []*sim.Task) {
-	alias := c.alias
-	for _, i := range c.active {
-		c.dev[i].clear()
+// simulated reports whether device dev is simulated: a collapsed plan's
+// aliased devices take their timelines from their class representative,
+// so the cluster keeps no partition for them, which would re-introduce
+// the O(ranks) cost the collapse removed.
+func (c *Cluster) simulated(dev int) bool {
+	return c.alias == nil || c.alias[dev] == dev
+}
+
+// markDirty queues simulated device dev for the next solve and unprices
+// its watts.
+func (c *Cluster) markDirty(dev int) {
+	if c.simulated(dev) {
+		c.dirty[dev>>6] |= 1 << (dev & 63)
+		c.dev[dev].priced = false
 	}
-	for _, t := range running {
-		switch p := t.Payload().(type) {
-		case kernels.Desc:
-			d := &c.dev[t.Streams()[0].Device()]
-			d.compute = append(d.compute, t)
-			d.costs = append(d.costs, p.CostOn(c.g))
-			d.prepared = d.prepared && p.PreparedOn(c.g)
-		case collective.Desc:
-			waiting := p.Waiting()
-			if p.Op == collective.SendRecv && waiting {
-				// A posted receive spins only on the destination; the
-				// sender's kernel does not launch until the producer is
-				// done.
-				if alias == nil || alias[p.Dst] == p.Dst {
-					c.dev[p.Dst].addComm(t, true)
-				}
-				continue
+}
+
+// enter adds a task that joined the running set to its devices'
+// partitions. A compute task is priced here, once; a comm is placed by
+// its gate bit and its rate falls due; a host task runs at unit rate.
+func (c *Cluster) enter(t *sim.Task) {
+	switch p := t.Payload().(type) {
+	case kernels.Desc:
+		dev := t.Streams()[0].Device()
+		if !c.simulated(dev) {
+			return
+		}
+		d := &c.dev[dev]
+		d.compute = insertKernel(d.compute, kernel{t, p.CostOn(c.g), p.PreparedOn(c.g)})
+		c.markDirty(dev)
+	case collective.Desc:
+		waiting := p.Waiting()
+		if p.Gate != nil {
+			c.gated = append(c.gated, gatedComm{t, p.Gate, waiting})
+		}
+		c.place(t, &p, waiting)
+	default:
+		// Host and other non-device tasks run at unit rate and occupy no
+		// device resources.
+		t.SetRate(1)
+	}
+}
+
+// leave removes a task that left the running set from its devices'
+// partitions. A compute task is found by pointer on its device, so its
+// payload is not read.
+func (c *Cluster) leave(t *sim.Task) {
+	if dev := t.Streams()[0].Device(); dev >= 0 && dev < c.n {
+		d := &c.dev[dev]
+		var found bool
+		if d.compute, found = removeKernel(d.compute, t); found {
+			c.markDirty(dev)
+			return
+		}
+	}
+	p, ok := t.Payload().(collective.Desc)
+	if !ok {
+		return
+	}
+	waiting := false
+	if p.Gate != nil {
+		for i := range c.gated {
+			if c.gated[i].t == t {
+				waiting = c.gated[i].waiting
+				last := len(c.gated) - 1
+				c.gated[i] = c.gated[last]
+				c.gated = c.gated[:last]
+				break
 			}
-			for _, r := range p.Participants() {
-				if alias != nil && alias[r] != r {
-					continue
-				}
-				c.dev[r].addComm(t, waiting)
-			}
-		default:
-			// Host tasks run at unit rate and occupy no device resources.
+		}
+	}
+	c.unplace(t, &p, waiting)
+}
+
+// poll re-places every running gated comm whose gate flipped since it
+// was placed: a posted SendRecv spins on its destination only, and a
+// gate bit enters the pressure and the memo key.
+func (c *Cluster) poll() {
+	for i := range c.gated {
+		g := &c.gated[i]
+		if waiting := !g.gate.Done(); waiting != g.waiting {
+			p := g.t.Payload().(collective.Desc)
+			c.unplace(g.t, &p, g.waiting)
+			g.waiting = waiting
+			c.place(g.t, &p, waiting)
 		}
 	}
 }
 
-func (d *device) addComm(t *sim.Task, waiting bool) {
-	d.comms = append(d.comms, t)
-	d.waiting = append(d.waiting, waiting)
+// occupied returns the devices comm p occupies with gate bit waiting. A
+// posted receive spins only on the destination; the sender's kernel does
+// not launch until the producer is done.
+func occupied(p *collective.Desc, waiting bool) []int {
+	if p.Op == collective.SendRecv && waiting {
+		return []int{p.Dst}
+	}
+	return p.Participants()
 }
 
-// Rates implements sim.Platform.
-func (c *Cluster) Rates(now float64, running []*sim.Task) {
-	c.partition(running)
-	c.partFresh, c.partLen = true, len(running)
+// place adds comm t with gate bit waiting to its devices' partitions and
+// makes its rate due.
+func (c *Cluster) place(t *sim.Task, p *collective.Desc, waiting bool) {
+	for _, r := range occupied(p, waiting) {
+		if c.simulated(r) {
+			d := &c.dev[r]
+			d.comms = insertComm(d.comms, comm{t, waiting})
+			c.markDirty(r)
+		}
+	}
+	var wire float64
+	if !waiting {
+		wire = p.WireBW(c.fabric)
+	}
+	c.stale = insertRating(c.stale, rating{t, wire, waiting})
+}
+
+// unplace removes comm t, placed with gate bit waiting, from its
+// devices' partitions.
+func (c *Cluster) unplace(t *sim.Task, p *collective.Desc, waiting bool) {
+	for _, r := range occupied(p, waiting) {
+		if c.simulated(r) {
+			d := &c.dev[r]
+			d.comms = removeComm(d.comms, t)
+			c.markDirty(r)
+		}
+	}
+}
+
+// Rates implements sim.Platform. It applies the running-set delta to the
+// partitions, re-places the gated comms whose gate flipped, and then
+// rates what changed: first the due comms in creation order, then the
+// dirty devices in index order, which draws each jitter multiplier at
+// the point the full per-epoch recompute would. Every other task keeps
+// the rate it was given.
+func (c *Cluster) Rates(now float64, running, entered, left []*sim.Task) {
+	for _, t := range left {
+		c.leave(t)
+	}
+	for _, t := range entered {
+		c.enter(t)
+	}
+	c.poll()
 
 	// Communication rates first: collectives are bandwidth-bound and set
 	// the contention pressure computes see.
-	for _, t := range running {
-		switch p := t.Payload().(type) {
-		case collective.Desc:
-			if p.Waiting() {
-				// Posted-early kernel spinning for its producer: resident
-				// but moving no data.
-				t.SetRate(0)
-			} else {
-				t.SetRate(p.WireBW(c.fabric) * c.jitterFor(t))
-			}
-		case kernels.Desc:
-			// set below
-		default:
-			// Host and other non-device tasks run at unit rate.
-			t.SetRate(1)
+	for _, r := range c.stale {
+		if r.waiting {
+			// Posted-early kernel spinning for its producer: resident but
+			// moving no data.
+			r.t.SetRate(0)
+		} else {
+			r.t.SetRate(r.wire * c.jitterFor(r.t))
 		}
 	}
+	c.stale = c.stale[:0]
 
-	for _, dev := range c.active {
-		c.solve(dev)
+	for w, word := range c.dirty {
+		c.dirty[w] = 0
+		for word != 0 {
+			dev := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			f := c.freq[dev]
+			c.solve(dev)
+			if len(c.dev[dev].compute) > 0 && math.Float64bits(c.freq[dev]) != math.Float64bits(f) {
+				// Not a fixed point yet: the next solve starts from the
+				// new frequency and may move it again.
+				c.markDirty(dev)
+			}
+		}
 	}
 }
 
@@ -510,15 +704,15 @@ func (c *Cluster) solveFresh(dev int) solution {
 	c.freq[dev] = f
 	s.freq = f
 
-	for i, t := range d.compute {
-		r := d.costs[i].Rate(f, smStolen, hbmStolen, serialize)
+	for i, k := range d.compute {
+		r := k.cost.Rate(f, smStolen, hbmStolen, serialize)
 		if nCompute > 1 {
 			r /= float64(nCompute)
 		}
 		if i == 0 {
 			s.rate = r
 		}
-		t.SetRate(r * c.jitterFor(t))
+		k.t.SetRate(r * c.jitterFor(k.t))
 	}
 	return s
 }
@@ -533,8 +727,10 @@ func (c *Cluster) SetAliases(alias []int) {
 	c.repStats = nil
 	c.active = c.active[:0]
 	for d := range c.dev {
-		c.dev[d].reset()
+		c.dev[d] = device{}
 	}
+	clear(c.dirty)
+	c.gated, c.stale = c.gated[:0], c.stale[:0]
 	identity := true
 	if alias != nil && len(alias) >= c.n {
 		for d := 0; d < c.n; d++ {
@@ -548,8 +744,9 @@ func (c *Cluster) SetAliases(alias []int) {
 		c.alias = alias
 	}
 	for d := 0; d < c.n; d++ {
-		if c.alias == nil || c.alias[d] == d {
+		if c.simulated(d) {
 			c.active = append(c.active, d)
+			c.markDirty(d)
 		}
 	}
 }
@@ -600,12 +797,11 @@ func serializeWeight(op collective.Op) float64 {
 // stolen SMs, stolen HBM bandwidth (bytes/s) and the issue-serialization
 // fraction.
 func (c *Cluster) pressure(dev int) (smStolen, hbmStolen, serialize float64) {
-	d := &c.dev[dev]
-	for i, t := range d.comms {
-		cd := t.Payload().(collective.Desc)
+	for _, cm := range c.dev[dev].comms {
+		cd := cm.t.Payload().(collective.Desc)
 		sm := float64(collective.SMOccupancy(cd, c.g))
 		w := c.g.Contention.SerializeFrac * serializeWeight(cd.Op)
-		if d.waiting[i] {
+		if cm.waiting {
 			// A spinning kernel holds its launch footprint but issues
 			// little traffic; it steals fewer resources than an active
 			// transfer.
@@ -632,21 +828,21 @@ func (c *Cluster) deviceActivity(dev int, f, smStolen, hbmStolen, serialize floa
 	d := &c.dev[dev]
 	var act power.Activity
 	n := len(d.compute)
-	for _, cost := range d.costs {
-		r := cost.Rate(f, smStolen, hbmStolen, serialize)
+	for _, k := range d.compute {
+		r := k.cost.Rate(f, smStolen, hbmStolen, serialize)
 		if n > 1 {
 			r /= float64(n)
 		}
-		v, m, mem := cost.Activity(r, f)
+		v, m, mem := k.cost.Activity(r, f)
 		act.Vec += v
 		act.Mat += m
 		act.Mem += mem
 	}
-	for i, t := range d.comms {
-		if d.waiting[i] {
+	for _, cm := range d.comms {
+		if cm.waiting {
 			continue
 		}
-		cd := t.Payload().(collective.Desc)
+		cd := cm.t.Payload().(collective.Desc)
 		c.addComm(&act, cd, cd.WireBW(c.fabric))
 	}
 	act.Surge = surgeActivity(act, surgeMatWeight)
@@ -687,34 +883,25 @@ func (c *Cluster) solveFreqIdleComm(dev int) float64 {
 }
 
 // Segment implements sim.Observer: it integrates per-GPU power over one
-// constant-rate segment. The engine calls Segment immediately after
-// Rates with the identical running set, so the device partition computed
-// there is reused instead of rebuilt, and a device Rates skipped reuses
-// the watts priced after its last solve.
+// constant-rate segment. It reads the partitions and rates of the
+// preceding Rates call, not running: the engine calls Segment right
+// after Rates with the same running set. A device's watts are priced
+// once per change and reused until the next one.
 func (c *Cluster) Segment(t0, t1 float64, running []*sim.Task) {
-	fresh := c.partFresh && c.partLen == len(running)
-	if !fresh {
-		c.partition(running)
-	}
-	c.partFresh = false
 	c.repStats = nil
 	for _, dev := range c.active {
 		d := &c.dev[dev]
-		var w float64
-		switch {
-		case fresh && d.priced:
-			w = d.watts
-		case len(d.compute) == 0 && len(d.comms) == 0 && c.freq[dev] == c.idleFreq:
-			w = c.idleW
-		default:
-			w = power.Instant(c.g, c.segmentActivity(dev), c.freq[dev])
+		if !d.priced {
+			if len(d.compute) == 0 && len(d.comms) == 0 && c.freq[dev] == c.idleFreq {
+				d.watts = c.idleW
+			} else {
+				d.watts = power.Instant(c.g, c.segmentActivity(dev), c.freq[dev])
+			}
+			d.priced = true
 		}
-		if fresh {
-			d.watts, d.priced = w, true
-		}
-		c.samplers[dev].Add(t0, t1, w)
+		c.samplers[dev].Add(t0, t1, d.watts)
 		if c.traces != nil {
-			c.traces[dev].Add(t0, t1, w)
+			c.traces[dev].Add(t0, t1, d.watts)
 		}
 	}
 }
@@ -725,14 +912,14 @@ func (c *Cluster) segmentActivity(dev int) power.Activity {
 	d := &c.dev[dev]
 	var act power.Activity
 	f := c.freq[dev]
-	for i, t := range d.compute {
-		v, m, mem := d.costs[i].Activity(t.Rate(), f)
+	for _, k := range d.compute {
+		v, m, mem := k.cost.Activity(k.t.Rate(), f)
 		act.Vec += v
 		act.Mat += m
 		act.Mem += mem
 	}
-	for _, t := range d.comms {
-		c.addComm(&act, t.Payload().(collective.Desc), t.Rate())
+	for _, cm := range d.comms {
+		c.addComm(&act, cm.t.Payload().(collective.Desc), cm.t.Rate())
 	}
 	act.Surge = surgeActivity(act, 1)
 	return act.Clamped()

@@ -165,7 +165,9 @@ func TestPowerObservation(t *testing.T) {
 // TestPowerStatsPerClass pins the memoized class summaries: after a
 // collapsed run every device reports exactly the summary of its own
 // (shared) sampler, and telemetry recorded afterwards is not hidden by
-// the memo.
+// the memo. The trailing Segment is out of band: it integrates the
+// partitions of the run's last Rates call again, which is all this
+// invalidation check needs.
 func TestPowerStatsPerClass(t *testing.T) {
 	g := hw.H100()
 	cl := newCluster(t, g, 4, power.Caps{})

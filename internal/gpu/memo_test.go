@@ -76,8 +76,8 @@ func TestMemoCapHoldsCappedJitter(t *testing.T) {
 }
 
 // TestMemoSkipsUnpreparedKernels checks that kernels that were never
-// prepared bypass the memo: their Cost is fresh on every epoch, so no key
-// could ever hit.
+// prepared bypass the memo: each task's Cost is its own, priced when it
+// enters, so no other task's key could ever hit.
 func TestMemoSkipsUnpreparedKernels(t *testing.T) {
 	const n = 4
 	g := hw.H100()

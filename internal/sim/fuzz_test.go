@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -17,12 +18,84 @@ import (
 // dependency selector. Rendezvous tasks (two streams) and cross-stream
 // dependencies — including ones that can deadlock — arise naturally from
 // the byte soup; the harness only demands the engine never hangs or
-// panics and that every terminating run conserves work.
+// panics and that every terminating run conserves work. A work selector
+// of 224 or more also gives the task a completion callback that enqueues
+// a follow-on task, possibly zero-work, on the same streams mid-run.
+//
+// The DAG is its own platform. Besides assigning rates it holds the
+// engine to the Platform delta contract: it rebuilds the running set
+// from the entered and left tasks of every call and records the first
+// call at which that set is not running.
 type fuzzDAG struct {
-	eng     *Engine
-	tasks   []*Task
-	total   float64
-	stalled []bool // per-task: platform pins rate to zero while peers run
+	eng      *Engine
+	tasks    []*Task
+	total    float64
+	stalled  []bool         // per-task: platform pins rate to zero while peers run
+	live     map[*Task]bool // the running set rebuilt from the deltas
+	deltaErr error          // first breach of the delta contract
+}
+
+// Rates implements Platform.
+func (d *fuzzDAG) Rates(now float64, running, entered, left []*Task) {
+	d.checkDelta(running, entered, left)
+	// Rate pattern derived from the task's seq so the two differential
+	// runs see identical rates: stalled tasks run at zero while any
+	// non-stalled peer runs (possible deadlock, must be detected).
+	anyLive := false
+	for _, t := range running {
+		if !d.stalled[t.Payload().(int)] {
+			anyLive = true
+		}
+	}
+	for _, t := range running {
+		id := t.Payload().(int)
+		switch {
+		case d.stalled[id] && anyLive:
+			t.SetRate(0)
+		default:
+			t.SetRate(float64(id%3) + 0.5)
+		}
+	}
+}
+
+// checkDelta applies one call's delta to the rebuilt running set and
+// records the first call at which the set is not running, in creation
+// order.
+func (d *fuzzDAG) checkDelta(running, entered, left []*Task) {
+	if d.deltaErr != nil {
+		return
+	}
+	fail := func(format string, args ...any) {
+		d.deltaErr = fmt.Errorf("t=%g: "+format, append([]any{d.eng.Now()}, args...)...)
+	}
+	for _, t := range left {
+		if !d.live[t] {
+			fail("task %q left without having entered", t.Name())
+			return
+		}
+		delete(d.live, t)
+	}
+	for _, t := range entered {
+		if d.live[t] {
+			fail("task %q entered twice", t.Name())
+			return
+		}
+		d.live[t] = true
+	}
+	if len(d.live) != len(running) {
+		fail("delta rebuilds %d running tasks, engine runs %d", len(d.live), len(running))
+		return
+	}
+	for i, t := range running {
+		if !d.live[t] {
+			fail("running task %q never entered", t.Name())
+			return
+		}
+		if i > 0 && running[i-1].Seq() >= t.Seq() {
+			fail("running set out of creation order at %q", t.Name())
+			return
+		}
+	}
 }
 
 func buildFuzzDAG(data []byte) *fuzzDAG {
@@ -31,28 +104,8 @@ func buildFuzzDAG(data []byte) *fuzzDAG {
 	}
 	nStreams := int(data[0])%8 + 1
 	nTasks := int(data[1])%48 + 1
-	d := &fuzzDAG{}
-	var plat PlatformFunc = func(now float64, running []*Task) {
-		// Rate pattern derived from the task's seq so the two differential
-		// runs see identical rates: stalled tasks run at zero while any
-		// non-stalled peer runs (possible deadlock, must be detected).
-		anyLive := false
-		for _, t := range running {
-			if !d.stalled[t.Payload().(int)] {
-				anyLive = true
-			}
-		}
-		for _, t := range running {
-			id := t.Payload().(int)
-			switch {
-			case d.stalled[id] && anyLive:
-				t.SetRate(0)
-			default:
-				t.SetRate(float64(id%3) + 0.5)
-			}
-		}
-	}
-	d.eng = NewEngine(plat)
+	d := &fuzzDAG{live: make(map[*Task]bool)}
+	d.eng = NewEngine(d)
 	streams := make([]*Stream, nStreams)
 	for i := range streams {
 		streams[i] = d.eng.NewStream(name(i), i)
@@ -88,6 +141,15 @@ func buildFuzzDAG(data []byte) *fuzzDAG {
 			d.tasks[int(db)%len(d.tasks)].After(t)
 		}
 		d.tasks = append(d.tasks, t)
+		if wb >= 224 {
+			follow := float64(db%4) / 4
+			t.OnDone(func(now float64) {
+				id := len(d.tasks)
+				d.tasks = append(d.tasks, d.eng.NewTask(name(id), KindHost, follow, id, ss...))
+				d.stalled = append(d.stalled, false)
+				d.total += follow
+			})
+		}
 	}
 	return d
 }
@@ -108,12 +170,16 @@ func runFuzzDAG(d *fuzzDAG) (error, []float64) {
 // the scheduler's safety net: Run always terminates — returning nil or
 // ErrDeadlock, never hanging or panicking — completed tasks satisfy
 // end ≥ start, total retired work equals total created work on clean
-// runs, and two runs of the same input are bit-identical.
+// runs, two runs of the same input are bit-identical, and at every
+// Rates call the delta the engine reports rebuilds its running set.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{3, 12, 0x10, 0x81, 0x05, 0x1f, 0x40, 0xd0})
 	f.Add([]byte{1, 4, 0, 0, 0, 0xff, 0xff, 0xff})
 	f.Add([]byte{8, 48})
 	f.Add([]byte{2, 6, 9, 200, 210, 31, 129, 245})
+	// Completion callbacks enqueue zero-work and timed follow-ons on a
+	// rendezvous and on single streams, next to instant tasks.
+	f.Add([]byte{3, 8, 0xe0, 0x81, 0x00, 0x00, 0x02, 0x01, 0xe8, 0x01, 0x03, 0x04, 0x00, 0x05, 0xf0, 0x92, 0x04, 0x00, 0x01, 0x06, 0xe4, 0x00, 0x00, 0x10, 0x02, 0x07})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d1 := buildFuzzDAG(data)
 		if d1 == nil {
@@ -122,6 +188,9 @@ func FuzzEngine(f *testing.F) {
 		err1, ends1 := runFuzzDAG(d1)
 		if err1 != nil && !errors.Is(err1, ErrDeadlock) {
 			t.Fatalf("engine returned unexpected error class: %v", err1)
+		}
+		if d1.deltaErr != nil {
+			t.Fatalf("running-set delta: %v", d1.deltaErr)
 		}
 
 		var retired float64

@@ -4,8 +4,10 @@
 // The engine models a set of streams (FIFO command queues, one or more per
 // device) executing tasks. A task carries an abstract amount of work (FLOPs
 // for compute kernels, bytes for communication) and consumes it at a rate
-// that a Platform recomputes every time the set of running tasks changes.
-// Between such epochs all rates are constant, so task completion times are
+// that a Platform assigns every time the set of running tasks changes; the
+// engine hands it the tasks that entered and left the set since the last
+// call, so a platform may re-rate only what the change touches. Between
+// such epochs all rates are constant, so task completion times are
 // exact; this is the classic fluid processor-sharing formulation used by
 // architectural simulators to model bandwidth and execution-unit contention
 // without cycle-level detail.
@@ -289,18 +291,30 @@ func (s *Stream) pop(t *Task) {
 	s.head++
 }
 
-// Platform assigns execution rates to running tasks. Rates must be set via
-// Task.SetRate for every task in running; a rate of zero stalls the task
-// until the running set changes again.
+// Platform assigns execution rates to running tasks. After each call every
+// task in running must hold its rate for the coming epoch, set via
+// Task.SetRate; a rate of zero stalls the task until the running set
+// changes again.
+//
+// entered and left are the delta since the previous call: the tasks
+// admitted to the running set and the tasks retired from it, each in the
+// order the engine admitted or retired them. Applying them to the
+// previous call's running set gives running (as a set; running itself is
+// in creation order). Instant epochs and the tasks completion callbacks
+// create are covered: every admission and retirement is reported to the
+// next call. A rate set earlier stays until the platform sets another,
+// so a platform may re-rate only the tasks the delta touches. Neither
+// slice may be kept past the call.
 type Platform interface {
-	Rates(now float64, running []*Task)
+	Rates(now float64, running, entered, left []*Task)
 }
 
-// PlatformFunc adapts a function to the Platform interface.
+// PlatformFunc adapts a function that rates the whole running set every
+// call to the Platform interface; it ignores the delta.
 type PlatformFunc func(now float64, running []*Task)
 
 // Rates implements Platform.
-func (f PlatformFunc) Rates(now float64, running []*Task) { f(now, running) }
+func (f PlatformFunc) Rates(now float64, running, entered, left []*Task) { f(now, running) }
 
 // Observer is notified of every constant-rate segment of simulated time.
 // Observers are used for power sampling and energy integration.
@@ -330,6 +344,8 @@ type Engine struct {
 	streams   []*Stream
 	tasks     []*Task
 	running   []*Task // ordered by Task.seq
+	entered   []*Task // admitted since the last Rates call
+	left      []*Task // retired since the last Rates call
 	observers []Observer
 	now       float64
 	nextSeq   int
@@ -587,7 +603,8 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			e.stMaxRunning = len(e.running)
 		}
 		e.stEpochs++
-		e.platform.Rates(e.now, e.running)
+		e.platform.Rates(e.now, e.running, e.entered, e.left)
+		e.entered, e.left = e.entered[:0], e.left[:0]
 
 		dt, stalled, instant := e.scanRunning()
 		if instant {
@@ -676,6 +693,7 @@ func (e *Engine) admit() {
 		}
 		e.stAdmissions++
 		e.insertRunning(t)
+		e.entered = append(e.entered, t)
 	}
 	e.dirty = e.dirty[:0]
 }
@@ -727,6 +745,7 @@ func (e *Engine) finishCompleted() {
 		}
 	}
 	e.running = keep
+	e.left = append(e.left, done...)
 	for _, t := range done {
 		e.retired += 1 + int(t.twins)
 		t.st = stateDone
